@@ -6,14 +6,22 @@
 #include <thread>
 
 #include "common/queue.hpp"
-#include "core/fd_link.hpp"
 #include "core/packet.hpp"
+#include "net/event_loop.hpp"
 #include "transport/fd.hpp"
 #include "transport/tcp.hpp"
 
 namespace {
 
 using namespace tbon;
+
+/// Hand `fd` to `loop` as a channel delivering into `inbox`; returns the
+/// NetLink that sends on it.
+std::shared_ptr<Link> channel(net::EventLoop& loop, Fd fd, InboxPtr inbox) {
+  net::ChannelOptions options;
+  options.inbox = std::move(inbox);
+  return loop.add_channel(std::move(fd), std::move(options));
+}
 
 Bytes payload_of(std::size_t size) {
   Bytes bytes(size);
@@ -67,25 +75,28 @@ BENCHMARK(BM_TcpFrameRoundTrip)->Arg(64)->Arg(4096)->Arg(65536)
     ->Unit(benchmark::kMicrosecond);
 
 /// Full packet path over a socketpair: serialize -> frame -> deserialize,
-/// using the same FdLink/reader machinery as the multi-process network.
-void BM_FdLinkPacketSend(benchmark::State& state) {
+/// using the same NetLink/event-loop machinery as the multi-process
+/// network (the send writes through from this thread; the loop reads).
+void BM_NetLinkPacketSend(benchmark::State& state) {
   auto [mine, theirs] = make_socketpair();
   auto inbox = std::make_shared<Inbox>(4096);
-  auto reader = start_fd_reader(theirs.get(), inbox, Origin::kChild, 0);
-  FdLink link(mine.get());
+  net::EventLoop loop;
+  auto link = channel(loop, std::move(mine), std::make_shared<Inbox>(16));
+  channel(loop, std::move(theirs), inbox);
+  loop.start();
 
   const PacketPtr packet = Packet::make(
       1, 100, 0, "vf64",
       {std::vector<double>(static_cast<std::size_t>(state.range(0)), 1.0)});
   for (auto _ : state) {
-    link.send(packet);
+    link->send(packet);
     benchmark::DoNotOptimize(inbox->pop());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(packet->payload_bytes()));
-  link.close();
+  loop.stop();
 }
-BENCHMARK(BM_FdLinkPacketSend)->Arg(8)->Arg(512)->Arg(8192)
+BENCHMARK(BM_NetLinkPacketSend)->Arg(8)->Arg(512)->Arg(8192)
     ->Unit(benchmark::kMicrosecond);
 
 /// The in-process path the threaded network uses: no serialization at all.
@@ -108,36 +119,39 @@ BENCHMARK(BM_InprocLinkPacketSend)->Arg(8)->Arg(512)->Arg(8192)
 /// An interior pass-through hop, measured for payload memcpys: a frame
 /// arrives on one socketpair, is relayed verbatim out another — the inner
 /// loop of every communication process on a passthrough stream.  Arg(1)
-/// toggles the zero-copy fd path; the `copies_per_packet` /
+/// toggles the zero-copy frame path; the `copies_per_packet` /
 /// `bytes_memcpy_per_packet` counters print the table CI gates on.  The
 /// counters cover the whole producer -> hop -> sink pipeline:
-///   zero-copy on  -> 0 copies (payload referenced by writev at both sends,
+///   zero-copy on  -> 0 copies (payload referenced by sendmsg at both sends,
 ///                    aliased from the receive frame at both reads)
 ///   zero-copy off -> 4 copies (pack + unpack at the hop — the >= 2 per hop
 ///                    the redesign removes — plus one each at the endpoints)
 void BM_CopyCountPassThroughHop(benchmark::State& state) {
   const std::size_t payload_size = static_cast<std::size_t>(state.range(0));
   const bool zero_copy = state.range(1) != 0;
-  const bool was_zero_copy = fd_zero_copy();
-  set_fd_zero_copy(zero_copy);
+  const bool was_zero_copy = net::zero_copy();
+  net::set_zero_copy(zero_copy);
 
   auto [up_w, up_r] = make_socketpair();      // producer -> hop
   auto [down_w, down_r] = make_socketpair();  // hop -> consumer
   auto hop_inbox = std::make_shared<Inbox>(4096);
   auto sink_inbox = std::make_shared<Inbox>(4096);
-  auto hop_reader = start_fd_reader(up_r.get(), hop_inbox, Origin::kChild, 0);
-  auto sink_reader = start_fd_reader(down_r.get(), sink_inbox, Origin::kParent, 0);
-  FdLink ingress(up_w.get());
-  FdLink egress(down_w.get());
+  auto unused = std::make_shared<Inbox>(16);
+  net::EventLoop loop;
+  auto ingress = channel(loop, std::move(up_w), unused);
+  auto egress = channel(loop, std::move(down_w), unused);
+  channel(loop, std::move(up_r), hop_inbox);
+  channel(loop, std::move(down_r), sink_inbox);
+  loop.start();
 
   const PacketPtr original =
       Packet::make_view(1, 100, 0, BufferView(payload_of(payload_size)));
   std::uint64_t packets = 0;
   CopyStats::reset();
   for (auto _ : state) {
-    ingress.send(original);
+    ingress->send(original);
     Envelope arrived = *hop_inbox->pop();
-    egress.send(arrived.packet);  // the pass-through relay
+    egress->send(arrived.packet);  // the pass-through relay
     benchmark::DoNotOptimize(sink_inbox->pop());
     ++packets;
   }
@@ -147,9 +161,8 @@ void BM_CopyCountPassThroughHop(benchmark::State& state) {
       static_cast<double>(CopyStats::bytes_copied()) / static_cast<double>(packets));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(payload_size));
-  ingress.close();
-  egress.close();
-  set_fd_zero_copy(was_zero_copy);
+  loop.stop();
+  net::set_zero_copy(was_zero_copy);
 }
 BENCHMARK(BM_CopyCountPassThroughHop)
     ->ArgNames({"bytes", "zero_copy"})

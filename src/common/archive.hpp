@@ -64,6 +64,8 @@ class BinaryWriter {
     for (const T& v : values) put(v);
   }
 
+  void reserve(std::size_t n) { buffer_.reserve(n); }
+
   const Bytes& bytes() const noexcept { return buffer_; }
   Bytes take() noexcept { return std::move(buffer_); }
   std::size_t size() const noexcept { return buffer_.size(); }

@@ -147,8 +147,8 @@ class BufferView {
 /// block; payloads at or above `kExternalCutoff` are referenced in place.
 /// The finished segment list (`segments()`) aliases both the scratch block
 /// and every external payload, so it is valid only while the writer and the
-/// serialized objects are alive — fd_link holds the PacketPtr across the
-/// writev for exactly this reason.
+/// serialized objects are alive — the event loop's outgoing frame holds the
+/// PacketPtr until the last byte is written for exactly this reason.
 class SegmentWriter {
  public:
   /// Payloads smaller than this are coalesced into scratch: one iovec entry

@@ -1,6 +1,6 @@
 // Delegate implementations shared by the threaded and multi-process
 // instantiations.  Internal header (included by network.cpp and
-// process_network.cpp only).
+// net/multiprocess.cpp only).
 #pragma once
 
 #include "core/network.hpp"

@@ -424,4 +424,10 @@ void FlowControlledLink::close() {
   inner_->close();
 }
 
+std::function<void()> credit_wake_hook(InboxPtr inbox) {
+  return [inbox = std::move(inbox), marker = make_attach_marker_packet()] {
+    inbox->try_push(Envelope{Origin::kParent, 0, marker});
+  };
+}
+
 }  // namespace tbon

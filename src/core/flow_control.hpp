@@ -4,10 +4,11 @@
 // of send credits.  The sender consumes one credit per application packet;
 // the receiving NodeRuntime returns credits after consuming packets (in
 // grant_quantum() chunks, so grants cost O(window) not O(packet)).  Threaded
-// channels share the gate object and grant by direct call; process-mode
-// channels return credits in-band with kTagCredit control frames that the
-// sender's fd reader thread applies (never the possibly-blocked event-loop
-// thread — this is what keeps the control plane deadlock-free).
+// channels share the gate object and grant by direct call; socket channels
+// (process and remote modes) return credits in-band with kTagCredit control
+// frames that the sender's socket event loop applies (never the
+// possibly-blocked runtime thread — this is what keeps the control plane
+// deadlock-free).
 //
 // Control-stream and telemetry-stream packets are exempt: shutdown,
 // heartbeats, credit grants themselves and metrics always flow, so a
@@ -88,7 +89,8 @@ struct FlowControlOptions {
 
 /// The credit window of one channel direction.  Shared between the sender
 /// (acquires) and whoever applies grants for the receiver — the receiving
-/// runtime itself (threaded) or the sender-side fd reader thread (process).
+/// runtime itself (threaded) or the sender-side socket event loop (process,
+/// remote).
 class CreditGate {
  public:
   /// kThrottled: credits remain in the window, but this request's tenant
@@ -246,6 +248,12 @@ class FlowControlledLink final : public Link {
   std::size_t pending_count_ = 0;
   std::atomic<bool> has_pending_{false};
 };
+
+/// Drain hook for a sender-side CreditGate (every instantiation): wake the
+/// sender's event loop with a no-op marker envelope so registered pending
+/// rings get pumped right after a grant lands.  try_push — a full inbox is
+/// an awake inbox.
+std::function<void()> credit_wake_hook(InboxPtr inbox);
 
 /// True for packets that bypass flow control (control stream, telemetry).
 inline bool flow_control_exempt(const Packet& packet) noexcept {

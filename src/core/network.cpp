@@ -1,30 +1,18 @@
 #include "core/network.hpp"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "core/delegates.hpp"
-#include "core/fd_link.hpp"
+#include "core/flow_control.hpp"
 
 namespace tbon {
 
 using namespace std::chrono_literals;
 
 namespace {
-
-/// Drain hook for a sender-side CreditGate: wake the sender's event loop (a
-/// no-op marker envelope) so registered pending rings get pumped right after
-/// a grant lands.  try_push — a full inbox is an awake inbox.
-std::function<void()> fc_wake_hook(InboxPtr inbox) {
-  return [inbox = std::move(inbox), marker = make_attach_marker_packet()] {
-    inbox->try_push(Envelope{Origin::kParent, 0, marker});
-  };
-}
 
 /// Granter for threaded channels: credits go straight into the shared gate.
 std::function<void(std::uint32_t)> fc_direct_granter(
@@ -114,7 +102,7 @@ BackEnd& Network::attach_backend(NodeId parent) {
 #pragma GCC diagnostic pop
 
 BackEnd& Network::attach_backend_at(NodeId parent) {
-  if ((process_mode_ || remote_mode_) && parent != topology_.root()) {
+  if (multiprocess() && parent != topology_.root()) {
     // Only the root runtime shares the front-end's address space in these
     // modes, so a dynamic leaf service can splice in nowhere else.
     throw ProtocolError(
@@ -621,9 +609,7 @@ std::unique_ptr<Network> Network::create(NetworkOptions options) {
     case NetworkMode::kRemote: {
       auto network = options.mode == NetworkMode::kThreaded
                          ? create_threaded_impl(options)
-                         : options.mode == NetworkMode::kProcess
-                               ? create_process_impl(options)
-                               : create_remote_impl(options);
+                         : create_multiprocess_impl(options);
       // The roster is a front-end-side lookup (open_stream resolves budgets
       // into the announcement), so storing it after instantiation is safe:
       // no application stream can open before create() returns.
@@ -648,18 +634,6 @@ std::unique_ptr<Network> Network::create_threaded(const Topology& topology,
   NetworkOptions options;
   options.topology = topology;
   options.recovery = std::move(recovery);
-  return create(std::move(options));
-}
-
-std::unique_ptr<Network> Network::create_process(
-    const Topology& topology, const std::function<void(BackEnd&)>& backend_main,
-    bool tcp_edges, RecoveryOptions recovery) {
-  NetworkOptions options;
-  options.mode = NetworkMode::kProcess;
-  options.topology = topology;
-  options.recovery = std::move(recovery);
-  options.backend_main = backend_main;
-  options.tcp_edges = tcp_edges;
   return create(std::move(options));
 }
 
@@ -759,7 +733,7 @@ std::unique_ptr<Network> Network::create_threaded_impl(const NetworkOptions& opt
         // data packet acquires its credit before it is buffered, and the
         // coalescer gets the gate so window exhaustion forces a flush.
         auto gate_down = std::make_shared<CreditGate>(fc.window());
-        gate_down->set_drain_hook(fc_wake_hook(parent_rt.inbox()));
+        gate_down->set_drain_hook(credit_wake_hook(parent_rt.inbox()));
         auto down = std::make_shared<FlowControlledLink>(
             maybe_coalesce(down_inner, net.batching_, &parent_rt.metrics(),
                            gate_down, net.batch_flusher_),
@@ -770,7 +744,7 @@ std::unique_ptr<Network> Network::create_threaded_impl(const NetworkOptions& opt
         child_rt.set_parent_granter(fc_direct_granter(gate_down));
 
         gate_up = std::make_shared<CreditGate>(fc.window());
-        gate_up->set_drain_hook(fc_wake_hook(child_rt.inbox()));
+        gate_up->set_drain_hook(credit_wake_hook(child_rt.inbox()));
         auto up = std::make_shared<FlowControlledLink>(
             maybe_coalesce(up_inner, net.batching_, &child_rt.metrics(),
                            gate_up, net.batch_flusher_),
@@ -883,7 +857,7 @@ bool Network::readopt_threaded(NodeRuntime& orphan) {
   std::shared_ptr<CreditGate> gate_up;
   if (fc.enabled) {
     auto gate_down = std::make_shared<CreditGate>(fc.window());
-    gate_down->set_drain_hook(fc_wake_hook(adopter.inbox()));
+    gate_down->set_drain_hook(credit_wake_hook(adopter.inbox()));
     auto down_w = std::make_shared<FlowControlledLink>(
         std::move(down), gate_down, fc, &adopter.metrics(),
         /*fail_fast_throws=*/false, adopter.tenants());
@@ -892,7 +866,7 @@ bool Network::readopt_threaded(NodeRuntime& orphan) {
     orphan.set_parent_granter(fc_direct_granter(gate_down));
 
     gate_up = std::make_shared<CreditGate>(fc.window());
-    gate_up->set_drain_hook(fc_wake_hook(orphan.inbox()));
+    gate_up->set_drain_hook(credit_wake_hook(orphan.inbox()));
     auto up_w = std::make_shared<FlowControlledLink>(
         std::move(up), gate_up, fc, &orphan.metrics(),
         /*fail_fast_throws=*/false, orphan.tenants());
@@ -1003,7 +977,7 @@ std::vector<NodeLoad> Network::node_loads() const {
   // gauges through the telemetry stream when it is enabled; a node that has
   // not reported yet simply is not a placement candidate.
   std::optional<TreeMetricsSnapshot> tree;
-  if ((process_mode_ || remote_mode_) && collector_) tree = collector_->snapshot();
+  if (multiprocess() && collector_) tree = collector_->snapshot();
   for (NodeId id = 0; id < topology_.num_nodes(); ++id) {
     if (topology_.is_leaf(id)) continue;
     NodeLoad load;
@@ -1048,7 +1022,7 @@ std::vector<NodeId> Network::effective_children_locked(NodeId node) const {
 
 NodeId Network::resolve_parent(NodeId requested) const {
   if (requested != kAutoPlacement) return requested;
-  if (process_mode_ || remote_mode_) return topology_.root();
+  if (multiprocess()) return topology_.root();
   const std::vector<NodeLoad> loads = node_loads();
   const NodeId chosen = reconfig_.policy->choose_parent(loads);
   return chosen == kAutoPlacement ? topology_.root() : chosen;
@@ -1196,7 +1170,7 @@ ReconfigOpResult Network::reconfig_move_subtree(const ReconfigOp& op) {
   };
 
   NodeId target = op.target;
-  if (process_mode_ || remote_mode_) {
+  if (multiprocess()) {
     if (!recovery_.auto_readopt) {
       r.message =
           "move_subtree needs RecoveryOptions::auto_readopt in process/remote "
@@ -1390,7 +1364,7 @@ bool Network::rehome_threaded(NodeRuntime& mover, NodeId new_parent) {
   std::shared_ptr<CreditGate> gate_up;
   if (fc.enabled) {
     auto gate_down = std::make_shared<CreditGate>(fc.window());
-    gate_down->set_drain_hook(fc_wake_hook(adopter.inbox()));
+    gate_down->set_drain_hook(credit_wake_hook(adopter.inbox()));
     auto down_w = std::make_shared<FlowControlledLink>(
         std::move(down), gate_down, fc, &adopter.metrics(),
         /*fail_fast_throws=*/false, adopter.tenants());
@@ -1399,7 +1373,7 @@ bool Network::rehome_threaded(NodeRuntime& mover, NodeId new_parent) {
     mover.set_parent_granter(fc_direct_granter(gate_down));
 
     gate_up = std::make_shared<CreditGate>(fc.window());
-    gate_up->set_drain_hook(fc_wake_hook(mover.inbox()));
+    gate_up->set_drain_hook(credit_wake_hook(mover.inbox()));
     auto up_w = std::make_shared<FlowControlledLink>(
         std::move(up), gate_up, fc, &mover.metrics(),
         /*fail_fast_throws=*/false, mover.tenants());
@@ -1444,7 +1418,7 @@ ReconfigOpResult Network::migrate_children(const ReconfigOp& op, bool merge_all)
   ReconfigOpResult r;
   r.op = op;
   const char* verb = merge_all ? "merge" : "split";
-  if (process_mode_ || remote_mode_) {
+  if (multiprocess()) {
     r.message = std::string(verb) + ": rebalancing interiors is threaded-mode only";
     return r;
   }
@@ -1557,7 +1531,7 @@ BackEnd& Network::backend(std::uint32_t rank) {
   const std::uint32_t static_ranks =
       static_cast<std::uint32_t>(topology_.num_leaves());
   if (rank < static_ranks) {
-    if (process_mode_ || remote_mode_) {
+    if (multiprocess()) {
       throw ProtocolError(
           "back-end handles live in their own processes in process/remote mode");
     }
@@ -1577,7 +1551,7 @@ std::size_t Network::num_backends() const {
 }
 
 void Network::run_backends(const std::function<void(BackEnd&)>& body) {
-  if (process_mode_ || remote_mode_) {
+  if (multiprocess()) {
     throw ProtocolError("run_backends is unavailable in process/remote mode; "
                         "pass NetworkOptions::backend_main instead");
   }
@@ -1592,7 +1566,7 @@ void Network::kill_node(NodeId id) {
   if (id == topology_.root()) throw ProtocolError("cannot kill the front-end");
   if (id >= topology_.num_nodes()) throw ProtocolError("node id out of range");
   TBON_INFO("injecting failure at node " << id);
-  if (process_mode_ || remote_mode_) {
+  if (multiprocess()) {
     // The victim lives in another process: send a targeted die request down
     // the tree; the node crashes abruptly on receipt (no handshakes).
     send_to_root(make_die_packet(id));
@@ -1715,29 +1689,16 @@ void Network::shutdown() {
   }
   lock.unlock();
   // Stop accepting orphans before tearing down transport state; after this
-  // join no adoption callback can touch reader_threads_/process_child_fds_.
+  // join no adoption callback can touch the front-end's event loop.
   if (rendezvous_) rendezvous_->stop();
   threads_.clear();  // join all service threads
-  if (remote_stop_) {
-    // Remote mode: stop the front-end's event loop (closing every tree
-    // socket, so surviving node processes see EOF and exit) and reap
-    // locally spawned node processes.
-    auto stop = std::move(remote_stop_);
-    remote_stop_ = nullptr;
+  if (fe_stop_) {
+    // Multi-process modes: stop the front-end's event loop and reap the
+    // node processes this one spawned.
+    auto stop = std::move(fe_stop_);
+    fe_stop_ = nullptr;
     stop();
-    remote_state_.reset();
-  }
-  if (process_mode_) {
-    // The root runtime shut down its child links on exit, so every child
-    // process sees EOF, finishes and exits; reap them and drop the fds.
-    reader_threads_.clear();  // join (EOF when children exit)
-    for (const int pid : child_pids_) {
-      int status = 0;
-      ::waitpid(pid, &status, 0);
-    }
-    child_pids_.clear();
-    for (const int fd : process_child_fds_) ::close(fd);
-    process_child_fds_.clear();
+    fe_state_.reset();
   }
 }
 

@@ -11,10 +11,12 @@
 //   net->shutdown();
 //
 // The threaded instantiation runs every communication process as a thread
-// inside this process, moving packets by reference (zero copy).  The
-// multi-process instantiation (process_network.hpp) forks one OS process per
-// tree node connected by socketpairs, exercising real serialization; both
-// share NodeRuntime, so the TBON semantics are identical.
+// inside this process, moving packets by reference (zero copy).  The two
+// multi-process instantiations run one OS process per non-root node with
+// one epoll event loop each (src/net/): process mode forks the tree over
+// inherited socketpairs, remote mode launches nodes that dial each other
+// over TCP.  All three share NodeRuntime, so the TBON semantics are
+// identical.
 #pragma once
 
 #include <atomic>
@@ -46,6 +48,7 @@ namespace tbon {
 
 namespace net {
 class Framing;  // src/net/framing.hpp — the remote mode's TLS-ready seam
+struct NodeConfig;  // src/net/wire.hpp — what a node process needs to run
 }  // namespace net
 
 class Network;
@@ -96,7 +99,8 @@ struct TelemetryOptions {
 /// Which instantiation Network::create builds.
 enum class NetworkMode {
   kThreaded,  ///< one thread per tree node in this process, zero-copy links
-  kProcess,   ///< one forked OS process per node, serialized fd channels
+  kProcess,   ///< one forked OS process per node, connected by inherited
+              ///< socketpairs, with an epoll event loop per node (src/net/)
   kRemote,    ///< one process per node, possibly on other hosts, connected
               ///< by TCP with an epoll event loop per node (src/net/)
 };
@@ -182,9 +186,6 @@ struct NetworkOptions {
 
   /// Process and remote modes: runs inside every back-end process.
   std::function<void(BackEnd&)> backend_main;
-  /// Process mode only: loopback-TCP edges (MRNet's wire) instead of
-  /// socketpairs.
-  bool tcp_edges = false;
   /// Remote mode only (see RemoteOptions).
   RemoteOptions remote;
 };
@@ -543,9 +544,9 @@ class BackEnd {
 class Network {
  public:
   /// Instantiate the tree described by `options` (see NetworkOptions): one
-  /// thread per node in kThreaded mode, one forked OS process per node in
-  /// kProcess mode.  Both share NodeRuntime, so the semantics — and the
-  /// telemetry and recovery subsystems — are identical.
+  /// thread per node in kThreaded mode, one OS process per non-root node in
+  /// kProcess and kRemote mode.  All share NodeRuntime, so the semantics —
+  /// and the telemetry and recovery subsystems — are identical.
   static std::unique_ptr<Network> create(NetworkOptions options);
 
   /// Convenience spelling for the remote instantiation: create() with
@@ -565,20 +566,16 @@ class Network {
       const std::function<void(BackEnd&)>& backend_main,
       const std::function<std::shared_ptr<net::Framing>()>& framing = {});
 
-  /// Pre-NetworkOptions factory spellings; forward to create().
+  /// Pre-NetworkOptions factory spelling; forwards to create().
   [[deprecated("use Network::create(NetworkOptions)")]]
   static std::unique_ptr<Network> create_threaded(const Topology& topology,
                                                   RecoveryOptions recovery = {});
-  [[deprecated("use Network::create(NetworkOptions) with mode = kProcess")]]
-  static std::unique_ptr<Network> create_process(
-      const Topology& topology, const std::function<void(BackEnd&)>& backend_main,
-      bool tcp_edges = false, RecoveryOptions recovery = {});
 
   /// True when this network runs in NetworkMode::kProcess.
-  bool is_process_mode() const noexcept { return process_mode_; }
+  bool is_process_mode() const noexcept { return mode_ == NetworkMode::kProcess; }
 
   /// True when this network runs in NetworkMode::kRemote.
-  bool is_remote_mode() const noexcept { return remote_mode_; }
+  bool is_remote_mode() const noexcept { return mode_ == NetworkMode::kRemote; }
 
   ~Network();
   Network(const Network&) = delete;
@@ -645,8 +642,10 @@ class Network {
 
   explicit Network(const Topology& topology);
   static std::unique_ptr<Network> create_threaded_impl(const NetworkOptions& options);
-  static std::unique_ptr<Network> create_process_impl(const NetworkOptions& options);
-  static std::unique_ptr<Network> create_remote_impl(const NetworkOptions& options);
+  /// kProcess and kRemote (src/net/multiprocess.cpp).
+  static std::unique_ptr<Network> create_multiprocess_impl(const NetworkOptions& options);
+  /// True when non-root nodes live in other processes.
+  bool multiprocess() const noexcept { return mode_ != NetworkMode::kThreaded; }
   void start_telemetry(const TelemetryOptions& telemetry);
   void send_to_root(PacketPtr packet);
   void send_batch_to_root(std::span<const PacketPtr> packets);
@@ -697,17 +696,25 @@ class Network {
                             NodeId old_parent, NodeId new_parent);
   void apply_recovery_threaded();
   bool readopt_threaded(NodeRuntime& orphan);
-  void adopt_process_orphan(Fd connection, const OrphanHello& hello);
-  void adopt_remote_orphan(Fd connection, const OrphanHello& hello);
+  /// Multi-process modes: wire a reconnecting orphan in as a root child.
+  void adopt_orphan(Fd connection, const OrphanHello& hello);
 
-  // Multi-process instantiation internals (defined in process_network.cpp).
-  [[noreturn]] static void run_child_process(
-      const Topology& topology, NodeId id, int parent_fd,
-      const std::function<void(BackEnd&)>& backend_main);
-  struct SpawnedChildren;
-  static SpawnedChildren spawn_children(
-      const Topology& topology, NodeId id, int my_parent_fd,
-      const std::function<void(BackEnd&)>& backend_main);
+  // Multi-process node processes (src/net/multiprocess.cpp).
+  /// The body of every non-root node process, however it was launched: run
+  /// node `id` over its connected parent and (slot-indexed) child sockets
+  /// until the tree shuts down.  `on_ready` runs once the node's event loop
+  /// is live.
+  static void serve_node(const net::NodeConfig& config, NodeId id, Fd parent,
+                         std::vector<Fd> children,
+                         const std::function<void(BackEnd&)>& backend_main,
+                         const std::function<std::shared_ptr<net::Framing>()>& framing,
+                         const std::function<void()>& on_ready);
+  struct ForkedChildren;
+  /// Process mode: fork one node process per child of `id`, each over a
+  /// fresh socketpair, recursively.  Children close `close_in_child`.
+  static ForkedChildren fork_children(const net::NodeConfig& config, NodeId id,
+                                      const std::vector<int>& close_in_child,
+                                      const std::function<void(BackEnd&)>& backend_main);
 
   Topology topology_;
   FilterRegistry& registry_ = FilterRegistry::instance();
@@ -770,8 +777,8 @@ class Network {
   BoundedQueue<std::uint32_t> ready_streams_{1 << 16};
 
   // Batching state: the options every channel was wired with, and the
-  // process-wide deadline-service thread (threaded/remote front-end side;
-  // forked children build their own in run_child_process).
+  // process-wide deadline-service thread (front-end side; node processes
+  // build their own in serve_node).
   BatchingOptions batching_;
   std::shared_ptr<BatchFlusher> batch_flusher_;
 
@@ -784,22 +791,16 @@ class Network {
   /// Per-leaf-rank relinkable upstream link (threaded auto_readopt only),
   /// so application threads keep sending across a parent swap.
   std::vector<std::shared_ptr<RelinkableLink>> backend_relinks_;
-  std::unique_ptr<RendezvousServer> rendezvous_;  ///< process auto_readopt
+  std::unique_ptr<RendezvousServer> rendezvous_;  ///< multi-process auto_readopt
   mutable std::mutex recovery_mutex_;
   std::condition_variable adoption_cv_;
   std::size_t adoptions_ = 0;
 
-  // Multi-process mode state (empty in threaded mode).
-  bool process_mode_ = false;
-  std::vector<int> process_child_fds_;   ///< root's ends, owned
-  std::vector<int> child_pids_;
-  std::vector<std::jthread> reader_threads_;
-
-  // Remote mode state (defined in src/net/remote_network.cpp; opaque here
-  // so core stays independent of the net subsystem's types).
-  bool remote_mode_ = false;
-  std::shared_ptr<void> remote_state_;
-  std::function<void()> remote_stop_;  ///< invoked once, at end of shutdown()
+  NetworkMode mode_ = NetworkMode::kThreaded;
+  // Multi-process front-end state (defined in src/net/multiprocess.cpp;
+  // opaque here so core stays independent of the net subsystem's types).
+  std::shared_ptr<void> fe_state_;
+  std::function<void()> fe_stop_;  ///< invoked once, at end of shutdown()
 };
 
 }  // namespace tbon

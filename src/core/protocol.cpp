@@ -95,8 +95,8 @@ PacketPtr make_credit_packet(std::uint32_t count, std::uint32_t channel_id) {
 namespace {
 
 /// Field access hardened against truncated or mistyped grant payloads: a
-/// hostile frame must surface as CodecError (counted, reader survives), not
-/// as std::out_of_range / bad_variant_access escaping the reader thread.
+/// hostile frame must surface as CodecError (counted, channel survives), not
+/// as std::out_of_range / bad_variant_access escaping the event loop.
 std::int64_t credit_field(const Packet& packet, std::size_t index) {
   try {
     return packet.get_i64(index);
@@ -141,7 +141,7 @@ PacketPtr make_subscribe_packet(std::uint32_t rank, const std::string& prefix,
 
 std::string subscribe_packet_prefix(const Packet& packet) {
   // Hardened like credit_field: a truncated or mistyped subscription frame
-  // surfaces as CodecError, not std::out_of_range, on a reader thread.
+  // surfaces as CodecError, not std::out_of_range, on the receiving thread.
   try {
     return packet.get_str(0);
   } catch (const std::exception&) {

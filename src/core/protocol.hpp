@@ -45,10 +45,10 @@ enum ControlTag : std::int32_t {
   /// records, merged on the way up by the `metrics_merge` built-in filter.
   kTagTelemetry = 10,
   /// Flow-control credit grant: the receiver of a channel returns `count`
-  /// send credits to the channel's sender (process mode; threaded channels
-  /// grant through a shared CreditGate instead).  Payload: "i64 i64" =
-  /// (count, channel id).  Consumed by the sender's fd reader thread, never
-  /// enqueued or forwarded.
+  /// send credits to the channel's sender (process and remote modes; threaded
+  /// channels grant through a shared CreditGate instead).  Payload:
+  /// "i64 i64" = (count, channel id).  Consumed by the sender's socket event
+  /// loop, never enqueued or forwarded.
   kTagCredit = 11,
   /// Topic subscription: src_rank is the subscribing back-end rank (or
   /// kFrontEndRank for the front-end), payload "str" = topic prefix.  Each
@@ -259,7 +259,7 @@ PacketPtr make_subscribe_packet(std::uint32_t rank, const std::string& prefix,
 
 /// The topic prefix carried by a kTagSubscribe / kTagUnsubscribe frame;
 /// throws CodecError when the payload is malformed (hostile frames must not
-/// escape a reader thread as std::out_of_range).
+/// escape the receiving thread as std::out_of_range).
 std::string subscribe_packet_prefix(const Packet& packet);
 
 /// True when `topic` falls under subscription `prefix` (plain string-prefix

@@ -48,7 +48,7 @@ class Link {
   virtual bool send(const PacketPtr& packet) = 0;
 
   /// Enqueue several packets, preserving order.  Transports that can encode
-  /// a multi-packet wire frame override this (FdLink, NetLink, InprocLink);
+  /// a multi-packet wire frame override this (NetLink, InprocLink);
   /// the default is semantically identical per-packet sends.  Returns false
   /// when any send failed (the peer is gone).
   virtual bool send_batch(std::span<const PacketPtr> packets) {
@@ -67,6 +67,23 @@ class Link {
 };
 
 using LinkPtr = std::unique_ptr<Link>;
+
+/// Adapter giving several owners (a back-end handle and its runtime) one
+/// shared link stack: the runtime takes a LinkPtr, the handle keeps sending
+/// through the same object.
+class SharedLink final : public Link {
+ public:
+  explicit SharedLink(std::shared_ptr<Link> inner) : inner_(std::move(inner)) {}
+  bool send(const PacketPtr& packet) override { return inner_->send(packet); }
+  bool send_batch(std::span<const PacketPtr> packets) override {
+    return inner_->send_batch(packets);
+  }
+  bool flush() override { return inner_->flush(); }
+  void close() override { inner_->close(); }
+
+ private:
+  std::shared_ptr<Link> inner_;
+};
 
 /// In-process link: pushes envelopes straight into the peer node's inbox.
 /// Multicast through several InprocLinks shares one immutable Packet object

@@ -35,7 +35,7 @@ constexpr std::size_t kMaxWireFrame = std::size_t{1} << 30;
 /// How often the loop refreshes the net_threads gauge from /proc.
 constexpr std::int64_t kThreadSampleNs = 250'000'000;
 
-/// iovec entries per writev call (comfortably under IOV_MAX).
+/// iovec entries per sendmsg call (comfortably under IOV_MAX).
 constexpr std::size_t kIovBatch = 64;
 
 std::string errno_string(int err) { return std::strerror(err); }
@@ -61,7 +61,110 @@ std::uint64_t count_process_threads() {
 
 thread_local int t_loop_marker = 0;
 
+std::atomic<bool> g_zero_copy{true};
+
+/// Put the length prefix in front of a built frame; throws on frames the
+/// peer's reader would reject.
+std::unique_ptr<NetConn::Outgoing> seal(std::unique_ptr<NetConn::Outgoing> out) {
+  if (out->frame_size > kMaxWireFrame) {
+    throw TransportError("oversized outgoing frame (" +
+                         std::to_string(out->frame_size) + " bytes)");
+  }
+  std::memcpy(out->header.data(), &out->frame_size, sizeof(out->frame_size));
+  out->segments.insert(out->segments.begin(),
+                       {out->header.data(), out->header.size()});
+  return out;
+}
+
+/// One flat frame (handshake payloads, batch frames, framed or copying
+/// packet sends).
+std::unique_ptr<NetConn::Outgoing> flat_frame(Bytes bytes) {
+  auto out = std::make_unique<NetConn::Outgoing>();
+  out->flat = std::move(bytes);
+  out->frame_size = static_cast<std::uint32_t>(out->flat.size());
+  out->segments.push_back({out->flat.data(), out->flat.size()});
+  return seal(std::move(out));
+}
+
+/// Frame a packet-plane send.  `framing` is null or transparent on the
+/// sender-thread path; a real transform runs on the loop thread only.
+std::unique_ptr<NetConn::Outgoing> build_frame(const NetConn::SendItem& item,
+                                               Framing* framing) {
+  const bool transparent = framing == nullptr || framing->transparent();
+  if (!item.batch.empty()) {
+    // A coalesced run: one multi-packet batch frame.  Always flattened —
+    // the batch encoding interleaves per-packet headers, so there is no
+    // verbatim-relay segment list to preserve.
+    Bytes frame = encode_batch_frame(item.batch);
+    return flat_frame(transparent ? std::move(frame) : framing->encode(frame));
+  }
+  if (transparent && zero_copy()) {
+    // Wire-backed relays go out verbatim, owned packets as header scratch +
+    // in-place payload segments.  The Outgoing holds the packet and the
+    // writer so the segment pointers stay valid across however many writes
+    // the frame takes.
+    auto out = std::make_unique<NetConn::Outgoing>();
+    out->packet = item.packet;
+    item.packet->serialize_segments(out->writer);
+    out->segments = out->writer.segments();
+    out->frame_size = static_cast<std::uint32_t>(out->writer.size());
+    return seal(std::move(out));
+  }
+  BinaryWriter writer;
+  item.packet->serialize(writer);
+  return flat_frame(transparent ? writer.take() : framing->encode(writer.bytes()));
+}
+
+enum class WriteResult { kDone, kBlocked, kFailed };
+
+/// Write as much of `out` as the socket takes, advancing its cursor.
+/// MSG_NOSIGNAL: a vanished peer surfaces as EPIPE, never as SIGPIPE.
+WriteResult write_some(int fd, NetConn::Outgoing& out) {
+  while (out.segment_index < out.segments.size()) {
+    iovec iov[kIovBatch];
+    std::size_t iovcnt = 0;
+    for (std::size_t i = out.segment_index;
+         i < out.segments.size() && iovcnt < kIovBatch; ++i) {
+      const auto& seg = out.segments[i];
+      const std::size_t skip = (i == out.segment_index) ? out.segment_offset : 0;
+      iov[iovcnt].iov_base = const_cast<std::byte*>(seg.data) + skip;
+      iov[iovcnt].iov_len = seg.size - skip;
+      ++iovcnt;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = iovcnt;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return WriteResult::kBlocked;
+      TBON_DEBUG("net write failed: " << errno_string(errno));
+      return WriteResult::kFailed;
+    }
+    std::size_t advanced = static_cast<std::size_t>(n);
+    while (advanced > 0) {
+      const std::size_t remain =
+          out.segments[out.segment_index].size - out.segment_offset;
+      if (advanced >= remain) {
+        advanced -= remain;
+        ++out.segment_index;
+        out.segment_offset = 0;
+      } else {
+        out.segment_offset += advanced;
+        advanced = 0;
+      }
+    }
+  }
+  return WriteResult::kDone;
+}
+
 }  // namespace
+
+void set_zero_copy(bool enabled) noexcept {
+  g_zero_copy.store(enabled, std::memory_order_relaxed);
+}
+
+bool zero_copy() noexcept { return g_zero_copy.load(std::memory_order_relaxed); }
 
 // ---- NetLink ----------------------------------------------------------------
 
@@ -70,7 +173,7 @@ bool NetLink::send(const PacketPtr& packet) {
   NetConn::SendItem item;
   item.packet = packet;
   // Budget charge is an O(1) estimate (payload + a small header allowance);
-  // exact frame bytes are accounted when the frame is built and written.
+  // exact frame bytes are accounted when the frame is written.
   item.charge = packet->payload_bytes() + 64;
   // Control and telemetry packets bypass the budget the same way they
   // bypass credit gates: blocking the control plane behind a data backlog
@@ -82,7 +185,7 @@ bool NetLink::send(const PacketPtr& packet) {
 bool NetLink::send_batch(std::span<const PacketPtr> packets) {
   if (packets.empty()) return true;
   // A one-packet batch keeps the plain single-frame path (and with it the
-  // zero-copy writev lanes), byte-identical to the pre-batching wire form.
+  // zero-copy lanes), byte-identical to the pre-batching wire form.
   if (packets.size() == 1) return send(packets.front());
   if (conn_ == nullptr || conn_->loop_ == nullptr) return false;
   NetConn::SendItem item;
@@ -96,7 +199,8 @@ bool NetLink::send_batch(std::span<const PacketPtr> packets) {
 }
 
 void NetLink::close() {
-  if (conn_ == nullptr || conn_->loop_ == nullptr) return;
+  // A closed connection has nothing to flush, and its loop may be gone.
+  if (conn_ == nullptr || conn_->loop_ == nullptr || conn_->closed()) return;
   {
     std::lock_guard<std::mutex> lock(conn_->mutex_);
     conn_->close_after_flush_ = true;
@@ -156,8 +260,8 @@ void EventLoop::stop() {
 }
 
 bool EventLoop::drain(std::int64_t timeout_ms) {
-  // Pre-start every send was written inline by the caller; on the loop
-  // thread we cannot wait for ourselves.  Either way there is nothing to do.
+  // Pre-start there is no loop to wait for; on the loop thread we cannot
+  // wait for ourselves.
   if (!started_.load(std::memory_order_acquire) || on_loop_thread()) return true;
   const std::int64_t deadline = now_ns() + timeout_ms * 1'000'000;
   for (;;) {
@@ -167,7 +271,7 @@ bool EventLoop::drain(std::int64_t timeout_ms) {
     post([this, flushed] {
       bool busy = false;
       for (auto& [fd, conn] : conns_) {
-        if (conn->outgoing_.has_value()) {
+        if (conn->outgoing_) {
           busy = true;
           break;
         }
@@ -222,6 +326,9 @@ void EventLoop::post_at(std::int64_t deadline_ns, std::function<void()> fn) {
 // ---- EventLoop: registration ------------------------------------------------
 
 ConnRef EventLoop::add_connection(Fd fd, ConnectionOptions options) {
+  // Non-blocking from the start: senders may write through before the loop
+  // has registered the socket.
+  set_nonblocking(fd.get());
   auto conn = std::make_shared<NetConn>();
   conn->fd_ = std::move(fd);
   conn->loop_ = this;
@@ -235,6 +342,7 @@ ConnRef EventLoop::add_connection(Fd fd, ConnectionOptions options) {
 
 std::shared_ptr<Link> EventLoop::add_channel(Fd fd, ChannelOptions options,
                                              ConnRef* out_conn) {
+  set_nonblocking(fd.get());
   auto conn = std::make_shared<NetConn>();
   conn->fd_ = std::move(fd);
   conn->loop_ = this;
@@ -283,13 +391,6 @@ void EventLoop::register_conn(const ConnRef& conn) {
     // blocked on its budget condvar hanging forever.  Tear it down properly
     // (marks it closed, clears the queue, notifies budget_, surfaces EOF).
     connection_dead(conn, false);
-    return;
-  }
-  try {
-    set_nonblocking(conn->fd());
-  } catch (const std::exception& error) {
-    TBON_DEBUG("net conn setup failed: " << error.what());
-    connection_dead(conn, !conn->channel_);
     return;
   }
   epoll_event ev{};
@@ -343,11 +444,39 @@ void EventLoop::close_connection(const ConnRef& conn) {
 // ---- EventLoop: send path ---------------------------------------------------
 
 bool EventLoop::enqueue(const ConnRef& conn, NetConn::SendItem item, bool may_block) {
+  if (!item.frame && (!conn->framing_ || conn->framing_->transparent())) {
+    // Frame on the sender's thread; only a real Framing transform (stateful,
+    // like a TLS record layer) must run on the loop thread.
+    try {
+      item.frame = build_frame(item, nullptr);
+    } catch (const std::exception& error) {
+      TBON_DEBUG("net frame build failed: " << error.what());
+      close_connection(conn);
+      return false;
+    }
+  }
+  if (item.frame) item.frame->charge = item.charge;
   {
     std::unique_lock<std::mutex> lock(conn->mutex_);
     if (conn->closed() || conn->close_after_flush_) return false;
-    if (may_block && conn->queued_bytes_ > 0 &&
-        conn->queued_bytes_ + item.charge > kSendBudget) {
+    if (item.frame && conn->queue_.empty() && !conn->in_flight_) {
+      // Write-through: nothing of ours is queued or on the wire, so the
+      // sender writes the frame itself — one syscall, no loop wake-up.
+      // The lock keeps the loop from starting a frame meanwhile.
+      const WriteResult result = write_some(conn->fd(), *item.frame);
+      if (result == WriteResult::kDone) {
+        lock.unlock();
+        count_frame_out(item.frame->frame_size);
+        return true;
+      }
+      // Kernel buffer full mid-frame (or the peer is gone): the loop
+      // finishes the frame from its cursor under EPOLLOUT (or buries the
+      // connection on its own write attempt).
+      if (result == WriteResult::kBlocked && metrics_ != nullptr) {
+        metrics_->net_partial_writes.fetch_add(1, std::memory_order_relaxed);
+      }
+    } else if (may_block && conn->queued_bytes_ > 0 &&
+               conn->queued_bytes_ + item.charge > kSendBudget) {
       // An empty queue always admits one item: a single frame can legally be
       // larger than the whole budget (kMaxWireFrame >> kSendBudget), and
       // waiting for `queued + charge <= budget` on such a frame would never
@@ -375,9 +504,11 @@ bool EventLoop::enqueue(const ConnRef& conn, NetConn::SendItem item, bool may_bl
 }
 
 void EventLoop::send_frame(const ConnRef& conn, Bytes frame) {
+  // Handshake payloads are length-framed but never pass through the
+  // Framing (handshakes travel in the clear).
   NetConn::SendItem item;
   item.charge = frame.size() + 4;
-  item.raw = std::move(frame);
+  item.frame = flat_frame(std::move(frame));
   enqueue(conn, std::move(item), /*may_block=*/false);
 }
 
@@ -388,81 +519,35 @@ bool EventLoop::build_outgoing(const ConnRef& conn) {
     if (conn->queue_.empty()) return false;
     item = std::move(conn->queue_.front());
     conn->queue_.pop_front();
+    conn->in_flight_ = true;
   }
-  NetConn::Outgoing out;
-  out.charge = item.charge;
-  try {
-    if (!item.batch.empty()) {
-      // A coalesced run: one multi-packet batch frame.  Always flattened —
-      // the batch encoding interleaves per-packet headers, so there is no
-      // verbatim-relay segment list to preserve.
-      Bytes frame = encode_batch_frame(item.batch);
-      if (conn->framing_ && !conn->framing_->transparent()) {
-        out.flat = conn->framing_->encode(frame);
-      } else {
-        out.flat = std::move(frame);
-      }
-      out.frame_size = static_cast<std::uint32_t>(out.flat.size());
-      out.segments.push_back({out.flat.data(), out.flat.size()});
-    } else if (item.packet != nullptr) {
-      const bool transparent = !conn->framing_ || conn->framing_->transparent();
-      if (transparent && fd_zero_copy()) {
-        // The PR 3 lanes: wire-backed relays go out verbatim, owned packets
-        // as header scratch + in-place payload segments.  The Outgoing holds
-        // the packet and the writer so the segment pointers stay valid
-        // across however many writev calls the frame takes.
-        out.packet = item.packet;
-        out.writer = std::make_unique<SegmentWriter>();
-        item.packet->serialize_segments(*out.writer);
-        out.segments = out.writer->segments();
-        out.frame_size = out.writer->size();
-      } else {
-        BinaryWriter writer;
-        item.packet->serialize(writer);
-        if (conn->framing_ && !conn->framing_->transparent()) {
-          out.flat = conn->framing_->encode(writer.bytes());
-        } else {
-          out.flat = writer.take();
-        }
-        out.frame_size = out.flat.size();
-        out.segments.push_back({out.flat.data(), out.flat.size()});
-      }
-    } else {
-      // Raw handshake frame: framed with the length prefix but never passed
-      // through the Framing (handshakes travel in the clear).
-      out.flat = std::move(item.raw);
-      out.frame_size = out.flat.size();
-      out.segments.push_back({out.flat.data(), out.flat.size()});
+  if (!item.frame) {
+    try {
+      item.frame = build_frame(item, conn->framing_.get());
+      item.frame->charge = item.charge;
+    } catch (const std::exception& error) {
+      TBON_DEBUG("net frame build failed: " << error.what());
+      connection_dead(conn, !conn->channel_);
+      return false;
     }
-  } catch (const std::exception& error) {
-    TBON_DEBUG("net frame build failed: " << error.what());
-    connection_dead(conn, !conn->channel_);
-    return false;
   }
-  if (out.frame_size > kMaxWireFrame) {
-    TBON_DEBUG("oversized outgoing frame dropped (" << out.frame_size << " bytes)");
-    connection_dead(conn, !conn->channel_);
-    return false;
-  }
-  const auto prefix = static_cast<std::uint32_t>(out.frame_size);
-  std::memcpy(conn->out_header_.data(), &prefix, sizeof(prefix));
-  out.segments.insert(out.segments.begin(),
-                      {conn->out_header_.data(), conn->out_header_.size()});
-  out.segment_index = 0;
-  out.segment_offset = 0;
-  conn->outgoing_ = std::move(out);
+  conn->outgoing_ = std::move(item.frame);
   return true;
 }
 
-void EventLoop::finish_outgoing(NetConn& conn) {
+void EventLoop::count_frame_out(std::uint32_t frame_size) {
   if (metrics_ != nullptr) {
-    metrics_->wire_bytes_out.fetch_add(conn.outgoing_->frame_size,
-                                       std::memory_order_relaxed);
+    metrics_->wire_bytes_out.fetch_add(frame_size, std::memory_order_relaxed);
     metrics_->net_frames_out.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void EventLoop::finish_outgoing(NetConn& conn) {
+  count_frame_out(conn.outgoing_->frame_size);
   const std::size_t charge = conn.outgoing_->charge;
   conn.outgoing_.reset();
   std::lock_guard<std::mutex> lock(conn.mutex_);
+  conn.in_flight_ = false;
   conn.queued_bytes_ -= std::min(conn.queued_bytes_, charge);
   conn.budget_.notify_all();
 }
@@ -472,49 +557,23 @@ void EventLoop::handle_writable(const ConnRef& conn) {
   while (true) {
     if (!conn->outgoing_ && !build_outgoing(conn)) break;
     if (conn->closed()) return;  // build_outgoing may have killed the conn
-    NetConn::Outgoing& out = *conn->outgoing_;
-    iovec iov[kIovBatch];
-    std::size_t iovcnt = 0;
-    for (std::size_t i = out.segment_index;
-         i < out.segments.size() && iovcnt < kIovBatch; ++i) {
-      const auto& seg = out.segments[i];
-      const std::size_t skip = (i == out.segment_index) ? out.segment_offset : 0;
-      iov[iovcnt].iov_base = const_cast<std::byte*>(seg.data) + skip;
-      iov[iovcnt].iov_len = seg.size - skip;
-      ++iovcnt;
-    }
-    const ssize_t n = ::writev(conn->fd(), iov, static_cast<int>(iovcnt));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Kernel buffer full mid-frame: keep the cursor, ask for EPOLLOUT.
-        if (metrics_ != nullptr) {
-          metrics_->net_partial_writes.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (!conn->want_write_) {
-          conn->want_write_ = true;
-          update_interest(*conn);
-        }
-        return;
+    const WriteResult result = write_some(conn->fd(), *conn->outgoing_);
+    if (result == WriteResult::kBlocked) {
+      // Kernel buffer full mid-frame: keep the cursor, ask for EPOLLOUT.
+      if (metrics_ != nullptr) {
+        metrics_->net_partial_writes.fetch_add(1, std::memory_order_relaxed);
       }
-      TBON_DEBUG("net write failed: " << errno_string(errno));
+      if (!conn->want_write_) {
+        conn->want_write_ = true;
+        update_interest(*conn);
+      }
+      return;
+    }
+    if (result == WriteResult::kFailed) {
       connection_dead(conn, !conn->channel_);
       return;
     }
-    std::size_t advanced = static_cast<std::size_t>(n);
-    while (advanced > 0) {
-      const auto& seg = out.segments[out.segment_index];
-      const std::size_t remain = seg.size - out.segment_offset;
-      if (advanced >= remain) {
-        advanced -= remain;
-        ++out.segment_index;
-        out.segment_offset = 0;
-      } else {
-        out.segment_offset += advanced;
-        advanced = 0;
-      }
-    }
-    if (out.segment_index == out.segments.size()) finish_outgoing(*conn);
+    finish_outgoing(*conn);
   }
   // Queue fully drained.
   if (conn->want_write_) {
@@ -527,8 +586,8 @@ void EventLoop::handle_writable(const ConnRef& conn) {
     close_now = conn->close_after_flush_ && conn->queue_.empty();
   }
   if (close_now && !conn->outgoing_) {
-    // Half-close like FdLink::close(): the peer's reader sees EOF, and our
-    // read side stays open until it does the same.
+    // Half-close: the peer's reader sees EOF, and our read side stays open
+    // until it does the same.
     shutdown_write(conn->fd());
   }
 }
@@ -631,7 +690,7 @@ bool EventLoop::deliver_frame(const ConnRef& conn, Bytes frame) {
     if (is_batch_frame(frame)) {
       std::vector<PacketPtr> packets;
       try {
-        packets = decode_batch_frame(std::move(frame), fd_zero_copy());
+        packets = decode_batch_frame(std::move(frame), zero_copy());
       } catch (const CodecError& error) {
         // Frame boundaries are intact (length-prefixed stream), so a
         // malformed batch is dropped whole — no envelopes, no credits — and
@@ -653,7 +712,7 @@ bool EventLoop::deliver_frame(const ConnRef& conn, Bytes frame) {
                              std::move(packets))});
     }
     PacketPtr packet;
-    if (fd_zero_copy()) {
+    if (zero_copy()) {
       auto buffer = std::make_shared<const Buffer>(std::move(frame));
       packet = Packet::deserialize_view(BufferView(buffer, 0, buffer->size()));
     } else {
@@ -673,8 +732,7 @@ bool EventLoop::deliver_frame(const ConnRef& conn, Bytes frame) {
 }
 
 void EventLoop::consume_credit(NetConn& conn, const Packet& packet) {
-  // Mirrors the fd reader's consume_credit_frame.  Applying grants here is
-  // safe because the loop never *waits* for credits: blocking acquisition
+  // Applying grants here is safe because the loop never *waits* for credits: blocking acquisition
   // happens in FlowControlledLink on sender threads, which grant() wakes.
   try {
     const std::uint32_t count = credit_packet_count(packet);
@@ -684,6 +742,8 @@ void EventLoop::consume_credit(NetConn& conn, const Packet& packet) {
     }
     conn.credits_.gate->grant(count);
   } catch (const std::exception& error) {
+    // Malformed, stale or unsinkable: count and drop.  A hostile grant frame
+    // never tears down the connection.
     TBON_DEBUG("rejecting credit grant: " << error.what());
     if (metrics_ != nullptr) {
       metrics_->fc_invalid_grants.fetch_add(1, std::memory_order_relaxed);
@@ -741,6 +801,7 @@ void EventLoop::connection_dead(const ConnRef& conn, bool handshake_failure) {
     std::lock_guard<std::mutex> lock(conn->mutex_);
     conn->queue_.clear();
     conn->queued_bytes_ = 0;
+    conn->in_flight_ = false;
     conn->budget_.notify_all();
   }
   ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, conn->fd(), nullptr);
@@ -859,7 +920,7 @@ void EventLoop::flush_sends() {
   std::vector<ConnRef> flushable;
   flushable.reserve(conns_.size());
   for (const auto& [fd, conn] : conns_) {
-    bool has_work = conn->outgoing_.has_value();
+    bool has_work = conn->outgoing_ != nullptr;
     if (!has_work) {
       std::lock_guard<std::mutex> lock(conn->mutex_);
       has_work = !conn->queue_.empty() || conn->close_after_flush_;
@@ -928,7 +989,7 @@ void EventLoop::run() {
         // instead; resume()/retry_parked() re-add it via update_interest
         // and then drain whatever the peer left behind before the EOF
         // surfaces.  (With want_write_ set the interest mask is non-zero
-        // and the write path consumes the event: the next writev fails and
+        // and the write path consumes the event: the next sendmsg fails and
         // tears the connection down.)
         if (::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, conn->fd(), nullptr) ==
             0) {

@@ -1,23 +1,26 @@
-// The per-node socket engine of the remote instantiation.
+// The per-node socket engine of both multi-process instantiations.
 //
-// One EventLoop per process owns ALL of that node's socket I/O on a single
-// epoll-driven thread — where the multi-process instantiation spawns one
-// blocking reader thread per fd, a remote node's fd count no longer shows
-// up in its thread count (test_net.cpp asserts exactly that).  Filter work
-// never runs here: packets are delivered into the NodeRuntime's inbox and
-// filters execute on the runtime thread or the FilterExecutor pool, so the
-// loop's only job is moving frames.
+// One EventLoop per process owns ALL of that node's socket reads on a
+// single epoll-driven thread, whatever the sockets are: inherited
+// socketpairs (process mode) or dialed TCP connections (remote mode).  A
+// node's fd count therefore never shows up in its thread count
+// (test_net.cpp asserts exactly that).  Filter work never runs here:
+// packets are delivered into the NodeRuntime's inbox and filters execute on
+// the runtime thread or the FilterExecutor pool, so the loop's only job is
+// moving frames.
 //
 // The loop never blocks:
 //  * reads are non-blocking with an incremental header/payload state
 //    machine; a full inbox parks the envelope and masks EPOLLIN for that
 //    connection until the runtime drains (short-timeout retry);
-//  * writes go through a per-connection send queue drained with
-//    scatter-gather writev (the PR 3 zero-copy lanes: owned payload
-//    segments are written in place, wire-backed relays verbatim); partial
-//    writes keep a segment cursor and arm EPOLLOUT;
-//  * senders on other threads (runtime, back-end application code) enqueue
-//    via NetLink and block only against a byte budget — the moral
+//  * sends are framed on the sender's thread (scatter-gather segments: owned
+//    payloads are written in place, wire-backed relays verbatim).  When the
+//    connection has nothing queued and no frame in flight, the sender
+//    writes the frame itself with one non-blocking sendmsg — no queue, no
+//    wake-up.  Otherwise, or when the kernel buffer fills mid-frame, the
+//    frame (with its cursor) joins a per-connection send queue that the
+//    loop drains under EPOLLOUT;
+//  * senders block only against a byte budget on that queue — the moral
 //    equivalent of a full kernel socket buffer — never against the loop;
 //  * credit grants (kTagCredit) are consumed on this thread against the
 //    connection's CreditSink.  That is safe precisely because this thread
@@ -27,10 +30,9 @@
 // Connections start in *frame-callback* mode (used for handshakes: small
 // max-frame cap, optional deadline, whole frames handed to a callback on
 // the loop thread) and are promoted to *channel* mode once the handshake
-// completes; channel frames become inbox envelopes exactly like
-// start_fd_reader produces, so NodeRuntime cannot tell the transports
-// apart.  An eventfd wake channel makes enqueues and cross-thread posts
-// visible to a sleeping epoll_wait.
+// completes; channel frames become inbox envelopes, so NodeRuntime cannot
+// tell the transports apart.  An eventfd wake channel makes queued sends
+// and cross-thread posts visible to a sleeping epoll_wait.
 #pragma once
 
 #include <array>
@@ -47,14 +49,35 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/fd_link.hpp"
 #include "core/runtime.hpp"
 #include "net/framing.hpp"
 #include "net/wire.hpp"
 #include "telemetry/metrics.hpp"
 #include "transport/fd.hpp"
 
+namespace tbon {
+class CreditGate;
+}  // namespace tbon
+
 namespace tbon::net {
+
+/// Process-wide toggle for the zero-copy frame path (on by default).  When
+/// on, sends relay wire-backed packets verbatim and write owned ones as
+/// scatter-gather segments, and receives deserialize frames into
+/// buffer-aliasing view packets.  Off restores the copying serialize/
+/// deserialize pipeline — kept so the benches can measure the difference.
+/// Set before Network::create (node processes inherit the value).
+void set_zero_copy(bool enabled) noexcept;
+bool zero_copy() noexcept;
+
+/// Where a connection delivers in-band flow-control credit grants: the gate
+/// guarding the *opposite* direction of the same socket (what this process
+/// sends on it).  Grants with a mismatched channel id, or malformed ones,
+/// are rejected and counted (fc_invalid_grants).
+struct CreditSink {
+  std::shared_ptr<CreditGate> gate;
+  std::uint32_t channel_id = 0;
+};
 
 class EventLoop;
 class NetConn;
@@ -83,14 +106,13 @@ struct ChannelOptions {
   std::uint32_t slot = 0;
   /// Gate credited by in-band kTagCredit grants arriving on this socket.
   CreditSink credits;
-  /// Frame transform; null or transparent() keeps the writev fast path.
+  /// Frame transform; null or transparent() keeps the zero-copy,
+  /// write-through send path.
   std::shared_ptr<Framing> framing;
   std::size_t max_frame = std::size_t{1} << 30;  ///< fd.hpp's kMaxFrame
   /// Register with reads masked; no frame is delivered until resume().
   /// Lets an adopter queue its wiring marker (request_adopt) before the
-  /// orphan's first data frame can possibly reach the inbox — the same
-  /// marker-before-data FIFO the fd-reader path gets by starting the
-  /// reader thread last.
+  /// orphan's first data frame can possibly reach the inbox.
   bool paused = false;
 };
 
@@ -101,31 +123,35 @@ class NetConn {
   int fd() const noexcept { return fd_.get(); }
   bool closed() const noexcept { return closed_.load(std::memory_order_acquire); }
 
- private:
-  friend class EventLoop;
-  friend class NetLink;
-
-  struct SendItem {
-    PacketPtr packet;        ///< packet-plane send, or ...
-    Bytes raw;               ///< ... a pre-framed handshake payload, or ...
-    /// ... a coalesced run of data packets, encoded into one multi-packet
-    /// batch frame when it reaches the queue head.
-    std::vector<PacketPtr> batch;
-    std::size_t charge = 0;  ///< budget bytes this item holds
-  };
-
-  /// An in-flight frame: built lazily when an item reaches the queue head,
-  /// kept alive (writer scratch + packet payload) until fully written.
+  /// A frame on its way to the socket: built on the sender's thread, kept
+  /// alive (header, writer scratch, packet payload) until fully written.
+  /// Heap-allocated so the segment pointers never move.
   struct Outgoing {
+    std::array<std::byte, 4> header{};  ///< the length prefix, segments[0]
     PacketPtr packet;
+    SegmentWriter writer;
     Bytes flat;
-    std::unique_ptr<SegmentWriter> writer;
     std::vector<SegmentWriter::Segment> segments;
     std::uint32_t frame_size = 0;
-    std::size_t segment_index = 0;   ///< -1th entry is the length prefix
+    std::size_t segment_index = 0;
     std::size_t segment_offset = 0;
     std::size_t charge = 0;
   };
+
+  struct SendItem {
+    /// The framed bytes, possibly partly written by the sender already.
+    /// Null only on a connection whose Framing must run on the loop thread;
+    /// the loop then frames `packet` or `batch` when the item reaches the
+    /// queue head.
+    std::unique_ptr<Outgoing> frame;
+    PacketPtr packet;
+    std::vector<PacketPtr> batch;  ///< a coalesced run: one batch frame
+    std::size_t charge = 0;        ///< budget bytes this item holds
+  };
+
+ private:
+  friend class EventLoop;
+  friend class NetLink;
 
   Fd fd_;
   EventLoop* loop_ = nullptr;
@@ -158,10 +184,12 @@ class NetConn {
   std::deque<SendItem> queue_;
   std::size_t queued_bytes_ = 0;
   bool close_after_flush_ = false;
+  /// The loop has popped a frame it has not finished writing; senders must
+  /// not write through past it.
+  bool in_flight_ = false;
 
   // Write state (loop thread only).
-  std::optional<Outgoing> outgoing_;
-  std::array<std::byte, 4> out_header_{};
+  std::unique_ptr<Outgoing> outgoing_;
   bool want_write_ = false;
   bool read_enabled_ = true;
   bool eof_notified_ = false;
@@ -173,9 +201,10 @@ class NetConn {
   std::atomic<bool> closed_{false};
 };
 
-/// Link implementation over a loop-owned connection: send() enqueues on the
-/// connection's queue and wakes the loop; close() flushes then half-closes.
-/// Safe to call from any thread; never blocks the loop.
+/// Link implementation over a loop-owned connection: send() writes through
+/// when the connection is idle, else enqueues and wakes the loop; close()
+/// flushes then half-closes.  Safe to call from any thread; never blocks
+/// the loop.
 class NetLink final : public Link {
  public:
   explicit NetLink(ConnRef conn) : conn_(std::move(conn)) {}
@@ -207,9 +236,10 @@ class EventLoop {
 
   /// Block until every connection's send queue and in-flight frame have
   /// been handed to the kernel, or `timeout_ms` elapses.  Call before
-  /// stop() on a node that is exiting: NetLink::send only enqueues, so
-  /// without a drain the last frames of the shutdown handshake (final
-  /// telemetry record, shutdown ack) race the queue-dropping teardown.
+  /// stop() on a node that is exiting: a contended NetLink::send only
+  /// enqueues, so without a drain the last frames of the shutdown handshake
+  /// (final telemetry record, shutdown ack) race the queue-dropping
+  /// teardown.
   /// Bytes accepted by the kernel survive process exit — TCP flushes the
   /// socket buffer before FIN — so queue-empty is the full guarantee.
   /// Returns false on timeout or if the loop stopped underneath us.
@@ -276,6 +306,7 @@ class EventLoop {
   void retry_parked();
   bool build_outgoing(const ConnRef& conn);
   void finish_outgoing(NetConn& conn);
+  void count_frame_out(std::uint32_t frame_size);
   void connection_dead(const ConnRef& conn, bool handshake_failure);
   void update_interest(NetConn& conn);
   void fire_timers(std::int64_t now);

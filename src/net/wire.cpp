@@ -21,6 +21,16 @@ void set_inline_cutoff(ExecutionOptions& options, std::size_t bytes) noexcept {
 }
 #pragma GCC diagnostic pop
 
+/// A writer for one bootstrap frame, led by its type tag.  Reserving up
+/// front keeps the first byte-wise append out of an empty vector's
+/// reallocation path (and GCC 12's -O3 memmove bound warnings with it).
+BinaryWriter boot_writer(BootFrame type) {
+  BinaryWriter writer;
+  writer.reserve(64);
+  writer.put(static_cast<std::uint8_t>(type));
+  return writer;
+}
+
 BinaryReader open_reader(std::span<const std::byte> bytes, std::size_t min_size,
                          const char* what) {
   require(bytes.size() >= min_size, what);
@@ -93,8 +103,7 @@ BootFrame boot_frame_type(std::span<const std::byte> bytes) {
 }
 
 Bytes encode_boot_hello(const BootHello& hello) {
-  BinaryWriter writer;
-  writer.put(static_cast<std::uint8_t>(BootFrame::kHello));
+  BinaryWriter writer = boot_writer(BootFrame::kHello);
   writer.put(kBootMagic);
   writer.put(hello.ver_min);
   writer.put(hello.ver_max);
@@ -117,8 +126,7 @@ BootHello decode_boot_hello(std::span<const std::byte> bytes) {
 }
 
 Bytes encode_node_config(const NodeConfig& config) {
-  BinaryWriter writer;
-  writer.put(static_cast<std::uint8_t>(BootFrame::kConfig));
+  BinaryWriter writer = boot_writer(BootFrame::kConfig);
   writer.put(config.version);
   config.topology.serialize(writer);
   writer.put(static_cast<std::uint8_t>(config.flow_control.enabled));
@@ -133,6 +141,13 @@ Bytes encode_node_config(const NodeConfig& config) {
   config.batching.serialize(writer);
   writer.put(config.heartbeat.interval_ns);
   writer.put(config.heartbeat.timeout_ns);
+  writer.put(static_cast<std::uint32_t>(config.fault_plan.faults.size()));
+  for (const FaultSpec& fault : config.fault_plan.faults) {
+    writer.put(fault.node);
+    writer.put(static_cast<std::uint8_t>(fault.kind));
+    writer.put(fault.after_packets);
+    writer.put(fault.delay_ns);
+  }
   writer.put(static_cast<std::uint8_t>(config.zero_copy));
   writer.put(static_cast<std::int32_t>(config.handshake_timeout_ms));
   writer.put_string(config.rendezvous);
@@ -172,6 +187,20 @@ NodeConfig decode_node_config(std::span<const std::byte> bytes) {
   config.batching = BatchingOptions::deserialize(reader);
   config.heartbeat.interval_ns = reader.get<std::int64_t>();
   config.heartbeat.timeout_ns = reader.get<std::int64_t>();
+  const auto faults = reader.get<std::uint32_t>();
+  // Each fault takes 21 bytes: a hostile count cannot outrun the frame.
+  require(faults <= bytes.size() / 21, "fault count exceeds node config");
+  for (std::uint32_t i = 0; i < faults; ++i) {
+    FaultSpec fault;
+    fault.node = reader.get<std::uint32_t>();
+    const auto kind = reader.get<std::uint8_t>();
+    require(kind <= static_cast<std::uint8_t>(FaultKind::kDelaySends),
+            "unknown fault kind in node config");
+    fault.kind = static_cast<FaultKind>(kind);
+    fault.after_packets = reader.get<std::uint64_t>();
+    fault.delay_ns = reader.get<std::int64_t>();
+    config.fault_plan.faults.push_back(fault);
+  }
   config.zero_copy = reader.get<std::uint8_t>() != 0;
   config.handshake_timeout_ms = reader.get<std::int32_t>();
   config.rendezvous = reader.get_string();
@@ -180,8 +209,7 @@ NodeConfig decode_node_config(std::span<const std::byte> bytes) {
 }
 
 Bytes encode_boot_listen(const BootListen& listen) {
-  BinaryWriter writer;
-  writer.put(static_cast<std::uint8_t>(BootFrame::kListen));
+  BinaryWriter writer = boot_writer(BootFrame::kListen);
   writer.put(listen.port);
   return writer.take();
 }
@@ -197,8 +225,7 @@ BootListen decode_boot_listen(std::span<const std::byte> bytes) {
 }
 
 Bytes encode_boot_ready(const BootReady& ready) {
-  BinaryWriter writer;
-  writer.put(static_cast<std::uint8_t>(BootFrame::kReady));
+  BinaryWriter writer = boot_writer(BootFrame::kReady);
   writer.put(static_cast<std::uint8_t>(ready.ok));
   writer.put_string(ready.error);
   return writer.take();

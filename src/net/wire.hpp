@@ -30,6 +30,7 @@
 #include "core/coalesce.hpp"
 #include "core/executor.hpp"
 #include "core/flow_control.hpp"
+#include "recovery/fault_injector.hpp"
 #include "recovery/heartbeat.hpp"
 #include "topology/topology.hpp"
 
@@ -37,8 +38,10 @@ namespace tbon::net {
 
 inline constexpr std::uint32_t kLinkMagic = 0x544C4E4Bu;  // "TLNK"
 inline constexpr std::uint32_t kBootMagic = 0x54424F4Fu;  // "TBOO"
-inline constexpr std::uint8_t kProtoMin = 1;
-inline constexpr std::uint8_t kProtoMax = 1;
+/// Version 2 added NodeConfig::fault_plan; version-1 peers cannot decode
+/// the longer config, so both ends speak 2 only.
+inline constexpr std::uint8_t kProtoMin = 2;
+inline constexpr std::uint8_t kProtoMax = 2;
 
 /// Upper bound on any frame read before a handshake completes.  The packet
 /// plane allows frames up to 1 GiB; an unauthenticated peer does not.
@@ -93,9 +96,10 @@ struct BootHello {
 Bytes encode_boot_hello(const BootHello& hello);
 BootHello decode_boot_hello(std::span<const std::byte> bytes);
 
-/// Everything a freshly exec'd node process needs to take its place in the
-/// tree.  Forked nodes could inherit most of this, but shipping it keeps
-/// the fork and ssh/exec launch paths on identical code.
+/// Everything a node process needs to take its place in the tree.  Process
+/// mode hands it down through fork() as a plain argument; remote mode ships
+/// it in the bootstrap protocol, so exec/ssh-launched binaries run the same
+/// node body on the same configuration.
 struct NodeConfig {
   std::uint8_t version = kProtoMax;  ///< negotiated bootstrap version
   Topology topology = Topology::single();
@@ -103,7 +107,10 @@ struct NodeConfig {
   ExecutionOptions execution;
   BatchingOptions batching;
   HeartbeatConfig heartbeat;
-  bool zero_copy = true;          ///< the front-end's fd_zero_copy() toggle
+  /// Every node builds its own FaultInjector from the same plan, so the
+  /// per-node counters are per-process (RecoveryOptions::fault_plan).
+  FaultPlan fault_plan;
+  bool zero_copy = true;          ///< the front-end's net::zero_copy() toggle
   int handshake_timeout_ms = 10'000;
   std::string rendezvous;         ///< "host:port" for re-adoption; "" = off
   std::string parent;             ///< "host:port" of this node's parent listener

@@ -17,7 +17,6 @@
 #include "core/coalesce.hpp"
 #include "core/flow_control.hpp"
 #include "core/network.hpp"
-#include "core/process_network.hpp"
 #include "filters/register.hpp"
 #include "transport/tcp.hpp"
 

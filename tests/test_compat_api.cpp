@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "core/network.hpp"
-#include "core/process_network.hpp"
 
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wdeprecated-declarations"
@@ -16,32 +15,6 @@ namespace {
 
 using namespace std::chrono_literals;
 constexpr std::int32_t kTag = kFirstAppTag;
-
-// NOTE: fork-based tests must not create threads before the network; the
-// process-mode pins below build their networks first thing.
-
-TEST(CompatApi, CreateProcessForwardsToCreate) {
-  auto net = Network::create_process(Topology::flat(3), [](BackEnd& be) {
-    be.send(1, kTag, "i64", {std::int64_t{be.rank() + 1}});
-  });
-  ASSERT_TRUE(net->is_process_mode());
-  Stream& stream = net->front_end().new_stream({.up_transform = "sum"});
-  const auto result = stream.recv_for(10s);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ((*result)->get_i64(0), 6);
-  net->shutdown();
-}
-
-TEST(CompatApi, CreateProcessNetworkFreeFunctionForwards) {
-  auto net = create_process_network(Topology::flat(2), [](BackEnd& be) {
-    be.send(1, kTag, "i64", {std::int64_t{7}});
-  });
-  Stream& stream = net->front_end().new_stream({.up_transform = "sum"});
-  const auto result = stream.recv_for(10s);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ((*result)->get_i64(0), 14);
-  net->shutdown();
-}
 
 TEST(CompatApi, CreateThreadedForwardsToCreate) {
   auto net = Network::create_threaded(Topology::balanced(2, 2));

@@ -8,7 +8,6 @@
 
 #include "common/rng.hpp"
 #include "core/coalesce.hpp"
-#include "core/fd_link.hpp"
 #include "core/flow_control.hpp"
 #include "core/network.hpp"
 #include "core/packet.hpp"
@@ -18,10 +17,27 @@
 #include "filters/histogram_filter.hpp"
 #include "meanshift/agglomerative.hpp"
 #include "meanshift/distributed.hpp"
+#include "net/event_loop.hpp"
 #include "net/wire.hpp"
 
 namespace tbon {
 namespace {
+
+/// The receive path of every multi-process node: an event loop reading `fd`
+/// as a channel into `inbox`, applying in-band grants to `credits`.
+std::unique_ptr<net::EventLoop> start_channel_reader(Fd fd, InboxPtr inbox,
+                                                     Origin origin,
+                                                     MetricsRegistry* metrics,
+                                                     net::CreditSink credits) {
+  auto loop = std::make_unique<net::EventLoop>(metrics);
+  net::ChannelOptions options;
+  options.inbox = std::move(inbox);
+  options.origin = origin;
+  options.credits = std::move(credits);
+  loop->add_channel(std::move(fd), std::move(options));
+  loop->start();
+  return loop;
+}
 
 Bytes random_bytes(Rng& rng, std::size_t size) {
   Bytes bytes(size);
@@ -290,11 +306,11 @@ TEST(ViewLifetime, PayloadOutlivesLinkTeardown) {
 
 // ---- credit / flow-control frames ------------------------------------------
 //
-// Credit grants arrive on reader threads straight off the wire, so a hostile
-// or truncated grant must never mint credits, kill the reader, or reach the
-// event loop as a data envelope.
+// Credit grants arrive on the socket event loop straight off the wire, so a
+// hostile or truncated grant must never mint credits, close the channel, or
+// reach the runtime as a data envelope.
 
-/// A data packet used to prove a reader thread survived hostile frames.
+/// A data packet used to prove a channel survived hostile frames.
 PacketPtr data_ignored_probe() {
   return Packet::make(1, kFirstAppTag, 0, "i64", {std::int64_t{42}});
 }
@@ -322,7 +338,7 @@ TEST(FuzzCredit, AccessorsRejectMalformedGrantPayloads) {
                CodecError);
 
   // Truncated (one field) and mistyped payloads surface as CodecError, not
-  // as out_of_range / bad_variant_access escaping a reader thread.
+  // as out_of_range / bad_variant_access escaping the event loop.
   const PacketPtr truncated = Packet::make(kControlStream, kTagCredit,
                                            kFrontEndRank, "i64", {std::int64_t{4}});
   EXPECT_THROW((void)credit_packet_channel(*truncated), CodecError);
@@ -341,8 +357,8 @@ TEST(FuzzCredit, ReaderSurvivesHostileGrantFrames) {
     ASSERT_EQ(gate->try_acquire(), CreditGate::Acquire::kOk);
   }
   MetricsRegistry metrics;
-  auto reader = start_fd_reader(reader_fd.get(), inbox, Origin::kParent, 0,
-                                &metrics, CreditSink{gate, 0});
+  auto reader = start_channel_reader(std::move(reader_fd), inbox, Origin::kParent,
+                                     &metrics, net::CreditSink{gate, 0});
 
   auto send = [&](const PacketPtr& packet) {
     BinaryWriter writer;
@@ -361,7 +377,7 @@ TEST(FuzzCredit, ReaderSurvivesHostileGrantFrames) {
   writer_fd.reset();                          // EOF
 
   // Only the probe and the EOF marker reach the inbox; every credit frame —
-  // valid or hostile — is consumed on the reader thread.
+  // valid or hostile — is consumed on the loop thread.
   const auto probe = inbox->pop();
   ASSERT_TRUE(probe.has_value());
   ASSERT_NE(probe->packet, nullptr);
@@ -369,7 +385,7 @@ TEST(FuzzCredit, ReaderSurvivesHostileGrantFrames) {
   const auto eof = inbox->pop();
   ASSERT_TRUE(eof.has_value());
   EXPECT_EQ(eof->packet, nullptr);
-  reader.join();
+  reader->stop();
 
   EXPECT_EQ(gate->available(), 2u);  // exactly the one valid grant applied
   EXPECT_EQ(metrics.fc_invalid_grants.load(), 4u);
@@ -379,8 +395,8 @@ TEST(FuzzCredit, ReaderWithoutSinkDropsGrantsInsteadOfEnqueueing) {
   auto [reader_fd, writer_fd] = make_socketpair();
   auto inbox = std::make_shared<Inbox>(64);
   MetricsRegistry metrics;
-  auto reader = start_fd_reader(reader_fd.get(), inbox, Origin::kParent, 0,
-                                &metrics, CreditSink{});
+  auto reader = start_channel_reader(std::move(reader_fd), inbox, Origin::kParent,
+                                     &metrics, net::CreditSink{});
   BinaryWriter writer;
   make_credit_packet(3, 0)->serialize(writer);
   write_frame(writer_fd.get(), writer.bytes());
@@ -389,7 +405,7 @@ TEST(FuzzCredit, ReaderWithoutSinkDropsGrantsInsteadOfEnqueueing) {
   const auto eof = inbox->pop();  // the grant never becomes an envelope
   ASSERT_TRUE(eof.has_value());
   EXPECT_EQ(eof->packet, nullptr);
-  reader.join();
+  reader->stop();
   EXPECT_EQ(metrics.fc_invalid_grants.load(), 1u);
 }
 
@@ -437,11 +453,21 @@ TEST(FuzzWire, HandshakeRoundTrips) {
   config.parent = "127.0.0.1:1234";
   config.flow_control.enabled = true;
   config.flow_control.capacity = 32;
+  config.fault_plan.kill(1, 5).mute(2, 3).delay(4, 1'000'000);
   const net::NodeConfig config2 = net::decode_node_config(net::encode_node_config(config));
   EXPECT_EQ(config2.topology.num_nodes(), config.topology.num_nodes());
   EXPECT_EQ(config2.rendezvous, "127.0.0.1:9999");
   EXPECT_EQ(config2.parent, "127.0.0.1:1234");
   EXPECT_TRUE(config2.flow_control.enabled);
+  ASSERT_EQ(config2.fault_plan.faults.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const FaultSpec& want = config.fault_plan.faults[i];
+    const FaultSpec& got = config2.fault_plan.faults[i];
+    EXPECT_EQ(got.node, want.node);
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.after_packets, want.after_packets);
+    EXPECT_EQ(got.delay_ns, want.delay_ns);
+  }
 
   EXPECT_EQ(net::decode_boot_hello(net::encode_boot_hello({1, 1, 9})).node, 9u);
   EXPECT_EQ(net::decode_boot_listen(net::encode_boot_listen({4242})).port, 4242);
@@ -474,6 +500,7 @@ TEST(FuzzWire, TruncationsOfValidHandshakesAreRejected) {
   config.topology = Topology::from_fanouts(std::vector<std::size_t>{2, 3});
   config.rendezvous = "127.0.0.1:7000";
   config.parent = "127.0.0.1:7001";
+  config.fault_plan.kill(3, 4).delay(5, 250);
   const Bytes frames[] = {
       net::encode_link_hello({1, 1, 3, 0, 16}),
       net::encode_link_welcome({1, 0, 1, 16}),
@@ -524,10 +551,10 @@ TEST(FuzzWire, BitFlippedHandshakesNeverCrash) {
 
 // ---- batch frames -----------------------------------------------------------
 //
-// Multi-packet batch frames arrive on reader threads and the epoll loop from
-// peers that may be broken or hostile.  Decoding is all-or-nothing: any
-// malformed frame must throw before a single envelope is delivered, so a
-// torn batch can neither kill a reader nor mint flow-control credits.
+// Multi-packet batch frames arrive on the epoll loop from peers that may be
+// broken or hostile.  Decoding is all-or-nothing: any malformed frame must
+// throw before a single envelope is delivered, so a torn batch can neither
+// close a channel nor mint flow-control credits.
 
 /// Overwrite a little-endian u32 field inside an encoded frame.
 void poke_u32(Bytes& frame, std::size_t offset, std::uint32_t value) {
@@ -644,12 +671,12 @@ TEST(FuzzBatch, ReaderSurvivesTornBatchFramesAndMintsNoCredits) {
     ASSERT_EQ(gate->try_acquire(), CreditGate::Acquire::kOk);  // drain window
   }
   MetricsRegistry metrics;
-  auto reader = start_fd_reader(reader_fd.get(), inbox, Origin::kChild, 0,
-                                &metrics, CreditSink{gate, 0});
+  auto reader = start_channel_reader(std::move(reader_fd), inbox, Origin::kChild,
+                                     &metrics, net::CreditSink{gate, 0});
 
   // Hostile batch frames: zero count, hungry count, corrupt entry length,
-  // and a smuggled credit grant.  Each must be dropped on the reader thread
-  // without killing it or granting anything.
+  // and a smuggled credit grant.  Each must be dropped on the loop thread
+  // without closing the channel or granting anything.
   Bytes zero = encode_batch_frame(small_batch(2));
   poke_u32(zero, 4, 0);
   write_frame(writer_fd.get(), zero);
@@ -686,7 +713,7 @@ TEST(FuzzBatch, ReaderSurvivesTornBatchFramesAndMintsNoCredits) {
   ASSERT_TRUE(eof.has_value());
   EXPECT_EQ(eof->packet, nullptr);
   EXPECT_EQ(eof->batch, nullptr);
-  reader.join();
+  reader->stop();
 
   EXPECT_EQ(gate->available(), 0u);  // the smuggled grant minted nothing
   EXPECT_EQ(metrics.batch_frames_rejected.load(), 4u);

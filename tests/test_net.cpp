@@ -8,9 +8,11 @@
 //   * data/filter/telemetry correctness over a 3-level process tree,
 //   * the single-event-loop claim (a thread-count assertion via the
 //     net_threads gauge: an interior node's thread count must not scale
-//     with its socket count the way thread-per-fd readers would),
+//     with its socket count the way thread-per-fd readers would), checked
+//     for process mode's inherited socketpairs too,
 //   * kill + reconnect: orphan re-adoption over the TCP rendezvous, with
 //     credit gates re-baselined so flow-controlled traffic keeps moving,
+//     triggered by kill_node or by a shipped FaultPlan,
 //   * hostile handshakes: malformed, oversized, truncated and silent
 //     pre-handshake peers must be shed without wedging the event loop.
 //
@@ -174,36 +176,41 @@ TEST(RemoteNetwork, TelemetryAggregatesAndThreadCountIsFlat) {
   // fanouts {1, 4}: node 1 is an interior process owning FIVE sockets
   // (1 parent + 4 children).  Thread-per-fd reads would put at least
   // 1 + 5 = 6 threads in that process; the event loop design caps it at
-  // main + loop + heartbeat-free runtime internals.
-  NetworkOptions extra;
-  extra.telemetry = {.enabled = true, .interval_ms = 50};
-  auto net = remote_net(Topology::from_fanouts(std::vector<std::size_t>{1, 4}),
-                        [](BackEnd& be) { pumping_backend(be, 1); },
-                        std::move(extra));
-  Stream& stream = net->front_end().open_stream(
-      {.up_transform = "wavg", .up_sync = "wait_for_all"});
-  ASSERT_TRUE(await_weight(stream, 4, 20s).has_value());
-  net->shutdown();
+  // main + loop + heartbeat-free runtime internals.  Both multi-process
+  // modes run the same node body, so the claim holds for inherited
+  // socketpairs exactly as for dialed TCP.
+  for (const NetworkMode mode : {NetworkMode::kRemote, NetworkMode::kProcess}) {
+    SCOPED_TRACE(mode == NetworkMode::kRemote ? "remote" : "process");
+    auto net = Network::create(
+        {.mode = mode,
+         .topology = Topology::from_fanouts(std::vector<std::size_t>{1, 4}),
+         .telemetry = {.enabled = true, .interval_ms = 50},
+         .backend_main = [](BackEnd& be) { pumping_backend(be, 1); }});
+    Stream& stream = net->front_end().open_stream(
+        {.up_transform = "wavg", .up_sync = "wait_for_all"});
+    ASSERT_TRUE(await_weight(stream, 4, 20s).has_value());
+    net->shutdown();
 
-  // Post-shutdown the snapshot is frozen and exact: every node published a
-  // final record ahead of its shutdown acknowledgement.
-  const TreeMetricsSnapshot snap = net->front_end().metrics();
-  EXPECT_EQ(snap.nodes_reporting, 6u);
-  const NodeTelemetry* interior = snap.find(1);
-  ASSERT_NE(interior, nullptr);
-  // Data and telemetry frames flowed through the interior node's loop.
-  EXPECT_GT(interior->net_frames_in, 0u);
-  EXPECT_GT(interior->net_frames_out, 0u);
-  EXPECT_GE(interior->net_connections, 5u);
-  // THE claim of this subsystem: socket count does not show up in thread
-  // count.  5 sockets, yet at most main + event loop + one service thread.
-  EXPECT_GE(interior->net_threads, 2u);
-  EXPECT_LE(interior->net_threads, 3u)
-      << "interior node runs " << interior->net_threads
-      << " threads for 5 sockets - looks like thread-per-fd reads";
-  // Tree-wide aggregation of the net_* counters happens at the front-end.
-  EXPECT_GT(snap.total.net_frames_in, interior->net_frames_in);
-  EXPECT_EQ(snap.total.net_handshakes_failed, 0u);
+    // Post-shutdown the snapshot is frozen and exact: every node published
+    // a final record ahead of its shutdown acknowledgement.
+    const TreeMetricsSnapshot snap = net->front_end().metrics();
+    EXPECT_EQ(snap.nodes_reporting, 6u);
+    const NodeTelemetry* interior = snap.find(1);
+    ASSERT_NE(interior, nullptr);
+    // Data and telemetry frames flowed through the interior node's loop.
+    EXPECT_GT(interior->net_frames_in, 0u);
+    EXPECT_GT(interior->net_frames_out, 0u);
+    EXPECT_GE(interior->net_connections, 5u);
+    // THE claim of this subsystem: socket count does not show up in thread
+    // count.  5 sockets, yet at most main + event loop + one service thread.
+    EXPECT_GE(interior->net_threads, 2u);
+    EXPECT_LE(interior->net_threads, 3u)
+        << "interior node runs " << interior->net_threads
+        << " threads for 5 sockets - looks like thread-per-fd reads";
+    // Tree-wide aggregation of the net_* counters happens at the front-end.
+    EXPECT_GT(snap.total.net_frames_in, interior->net_frames_in);
+    EXPECT_EQ(snap.total.net_handshakes_failed, 0u);
+  }
 }
 
 // ---- kill + reconnect over the TCP rendezvous -------------------------------
@@ -228,6 +235,38 @@ TEST(RemoteNetwork, KillInteriorNodeOrphansReadopt) {
 
   // The recovered tree must again produce full-weight, exact results
   // (weight-4 results queued from before the kill may drain first).
+  int full = 0;
+  const auto until = std::chrono::steady_clock::now() + 60s;
+  while (full < 5 && std::chrono::steady_clock::now() < until) {
+    const auto result = stream.recv_for(100ms);
+    if (result && (*result)->get_u64(1) == 4) {
+      EXPECT_DOUBLE_EQ((*result)->get_vf64(0)[0], full_sum(4));
+      ++full;
+    }
+  }
+  EXPECT_GE(full, 5);
+  net->shutdown();
+}
+
+TEST(RemoteNetwork, FaultPlanKillsInteriorAndOrphansReadopt) {
+  // The plan ships to every node in its NodeConfig: node 1 crashes (via
+  // _Exit, no handshakes) at its 5th data packet, mid-wave-3 with two
+  // children, and its back-ends reconnect through the TCP rendezvous.
+  NetworkOptions extra;
+  extra.recovery.auto_readopt = true;
+  extra.recovery.fault_plan.kill(1, 5);
+  auto net = remote_net(Topology::balanced(2, 2),
+                        [](BackEnd& be) { pumping_backend(be, 1); },
+                        std::move(extra));
+  Stream& stream = net->front_end().open_stream(
+      {.up_transform = "wavg", .up_sync = "wait_for_all"});
+  ASSERT_TRUE(net->wait_for_adoptions(2, 30s));
+  for (const NodeId orphan : net->topology().node(1).children) {
+    EXPECT_EQ(net->effective_parent(orphan), net->topology().root());
+  }
+
+  // At most two full-weight results predate the crash, so five prove that
+  // the re-adopted subtree feeds exact sums again.
   int full = 0;
   const auto until = std::chrono::steady_clock::now() + 60s;
   while (full < 5 && std::chrono::steady_clock::now() < until) {
@@ -292,9 +331,12 @@ struct HandshakeServer {
       conn.deadline_ns = now_ns() + 500 * 1'000'000LL;  // 500 ms to speak
       conn.on_frame = [this](const net::ConnRef& ref, Bytes frame) {
         const net::LinkHello hello = net::decode_link_hello(frame);  // may throw
+        // Count before replying: an idle connection writes the welcome
+        // through at once, so the client may check the count as soon as it
+        // reads the reply.
+        accepted.fetch_add(1);
         loop.send_frame(ref, net::encode_link_welcome(net::LinkWelcome{
                                  net::kProtoMax, 0, hello.node, 0}));
-        accepted.fetch_add(1);
       };
       loop.add_connection(std::move(client), std::move(conn));
     });

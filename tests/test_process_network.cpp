@@ -1,11 +1,13 @@
 // End-to-end tests of the multi-process instantiation: real fork()ed
 // communication processes, socketpair FIFO channels, serialized packets.
+// The TcpEdges tests run the same workloads with every edge a loopback TCP
+// connection, which is the remote instantiation.
 //
 // NOTE: fork-based tests must not create threads before the network, so
 // every test builds its network first thing.
 #include <gtest/gtest.h>
 
-#include "core/process_network.hpp"
+#include "core/network.hpp"
 #include "filters/equivalence.hpp"
 #include "filters/register.hpp"
 
@@ -17,11 +19,10 @@ constexpr std::int32_t kTag = kFirstAppTag;
 
 std::unique_ptr<Network> process_net(Topology topology,
                                      std::function<void(BackEnd&)> backend_main,
-                                     bool tcp_edges = false) {
-  return Network::create({.mode = NetworkMode::kProcess,
+                                     NetworkMode mode = NetworkMode::kProcess) {
+  return Network::create({.mode = mode,
                           .topology = std::move(topology),
-                          .backend_main = std::move(backend_main),
-                          .tcp_edges = tcp_edges});
+                          .backend_main = std::move(backend_main)});
 }
 
 TEST(ProcessNetwork, SumReductionFlat) {
@@ -107,7 +108,7 @@ TEST(ProcessNetwork, TcpEdgesSumReduction) {
   auto net = process_net(
       Topology::balanced(2, 2),
       [](BackEnd& be) { be.send(1, kTag, "i64", {std::int64_t{be.rank() * 2}}); },
-      /*tcp_edges=*/true);
+      NetworkMode::kRemote);
   Stream& stream = net->front_end().open_stream({.up_transform = "sum"});
   const auto result = stream.recv_for(10s);
   ASSERT_TRUE(result.has_value());
@@ -129,7 +130,7 @@ TEST(ProcessNetwork, TcpEdgesBroadcastAndPeers) {
                   {std::int64_t{peer && (*peer)->get_str(0) == "over tcp"}});
         }
       },
-      /*tcp_edges=*/true);
+      NetworkMode::kRemote);
   Stream& stream = net->front_end().open_stream({.up_sync = "null"});
   stream.send(kTag, "str", {std::string("go")});
   const auto verdict = stream.recv_for(10s);

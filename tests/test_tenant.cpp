@@ -11,7 +11,6 @@
 #include "core/executor.hpp"
 #include "core/flow_control.hpp"
 #include "core/network.hpp"
-#include "core/process_network.hpp"
 #include "core/protocol.hpp"
 #include "core/tenant.hpp"
 
@@ -382,7 +381,9 @@ TEST(TenantThreaded, NoisyBulkTenantCannotStarveHighTenant) {
   bool throttled = false;
   for (const TenantTelemetry& t : snap.total.tenants) {
     if (t.name == "noisy") throttled = t.sends_throttled > 0;
-    if (t.name == "fast") EXPECT_EQ(t.packets_shed, 0u);
+    if (t.name == "fast") {
+      EXPECT_EQ(t.packets_shed, 0u);
+    }
   }
   EXPECT_TRUE(throttled) << "the noisy tenant never hit its credit share";
   net->shutdown();
