@@ -192,6 +192,12 @@ struct TreeReduceCase {
   std::size_t arity;  // inner-node fanout of the simulated tree
 };
 
+// Names the case by value ("sum_16x2"), not by a byte dump that holds the
+// address of the filter-name literal and so changes from run to run.
+void PrintTo(const TreeReduceCase& c, std::ostream* os) {
+  *os << c.filter << '_' << c.leaves << 'x' << c.arity;
+}
+
 class TreeDecomposition : public ::testing::TestWithParam<TreeReduceCase> {};
 
 TEST_P(TreeDecomposition, TreeFoldEqualsFlatFold) {
