@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -37,6 +39,15 @@ constexpr std::int64_t kThreadSampleNs = 250'000'000;
 
 /// iovec entries per sendmsg call (comfortably under IOV_MAX).
 constexpr std::size_t kIovBatch = 64;
+
+/// Bytes of idle receive buffers one loop keeps for reuse, and the
+/// smallest frame worth recycling (below it malloc serves from warm bins).
+constexpr std::size_t kFramePoolBytes = std::size_t{1} << 20;
+constexpr std::size_t kPooledFrameMin = std::size_t{16} << 10;
+
+/// How long a sender finishing its own frame waits for POLLOUT before
+/// re-checking that the connection is still open.
+constexpr int kSenderPollMs = 50;
 
 std::string errno_string(int err) { return std::strerror(err); }
 
@@ -160,6 +171,76 @@ WriteResult write_some(int fd, NetConn::Outgoing& out) {
 
 }  // namespace
 
+/// Receive buffers recycled across frames.  A zero-copy frame's Buffer
+/// hands its storage back here when the last packet view into it dies, so
+/// steady-state bulk relay reads into warm pages: freeing every frame to
+/// malloc lets it trim the heap top and the next frame faults its pages
+/// back in, which made page faults the read path's main kernel cost.
+class FramePool : public std::enable_shared_from_this<FramePool> {
+ public:
+  /// A buffer of exactly `size` bytes (contents unspecified).
+  Bytes take(std::size_t size) {
+    Bytes bytes;
+    if (size >= kPooledFrameMin) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      // Frames of one stream tend to share a size; a buffer more than twice
+      // the frame would pin memory the frame does not need.
+      if (!free_.empty() && free_.back().capacity() >= size &&
+          free_.back().capacity() / 2 <= size) {
+        bytes = std::move(free_.back());
+        free_.pop_back();
+        held_ -= bytes.capacity();
+      }
+    }
+    bytes.resize(size);
+    return bytes;
+  }
+
+  /// `frame` as a Buffer whose storage returns to the pool.
+  BufferPtr wrap(Bytes frame) {
+    auto owned = std::make_unique<Buffer>(std::move(frame));
+    return BufferPtr(owned.release(), [pool = shared_from_this()](const Buffer* buffer) {
+      std::unique_ptr<Buffer> doomed(const_cast<Buffer*>(buffer));
+      pool->give(std::move(doomed->storage()));
+    });
+  }
+
+  /// Return a buffer nobody references any more.
+  void give(Bytes bytes) {
+    const std::size_t capacity = bytes.capacity();
+    if (capacity < kPooledFrameMin || capacity > kFramePoolBytes) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (held_ + capacity > kFramePoolBytes) return;
+    held_ += capacity;
+    free_.push_back(std::move(bytes));
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<Bytes> free_;
+  std::size_t held_ = 0;
+};
+
+namespace {
+
+/// Finish a frame whose write-through found the kernel buffer full,
+/// waiting for POLLOUT between writes.  The bounded waits re-check `conn`,
+/// so a connection the loop closes (or a stopped loop) never strands the
+/// sender behind a peer that stopped reading.
+WriteResult write_blocking(const NetConn& conn, NetConn::Outgoing& out) {
+  for (;;) {
+    pollfd pfd{conn.fd(), POLLOUT, 0};
+    const int ready = ::poll(&pfd, 1, kSenderPollMs);
+    if (conn.closed()) return WriteResult::kFailed;
+    if (ready < 0 && errno != EINTR) return WriteResult::kFailed;
+    if (ready <= 0) continue;
+    const WriteResult result = write_some(conn.fd(), out);
+    if (result != WriteResult::kBlocked) return result;
+  }
+}
+
+}  // namespace
+
 void set_zero_copy(bool enabled) noexcept {
   g_zero_copy.store(enabled, std::memory_order_relaxed);
 }
@@ -213,7 +294,8 @@ void NetLink::close() {
 EventLoop::EventLoop(MetricsRegistry* metrics)
     : epoll_(::epoll_create1(EPOLL_CLOEXEC)),
       wake_fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)),
-      metrics_(metrics) {
+      metrics_(metrics),
+      frames_(std::make_shared<FramePool>()) {
   if (!epoll_.valid() || !wake_fd_.valid()) {
     throw TransportError("event loop setup failed: " + errno_string(errno));
   }
@@ -276,7 +358,7 @@ bool EventLoop::drain(std::int64_t timeout_ms) {
           break;
         }
         std::lock_guard<std::mutex> lock(conn->mutex_);
-        if (!conn->queue_.empty()) {
+        if (!conn->queue_.empty() || conn->in_flight_) {
           busy = true;
           break;
         }
@@ -456,14 +538,54 @@ bool EventLoop::enqueue(const ConnRef& conn, NetConn::SendItem item, bool may_bl
     }
   }
   if (item.frame) item.frame->charge = item.charge;
+  // Data senders off the loop thread may wait for the socket; control
+  // frames and the loop itself never do.
+  const bool blocking = may_block && !on_loop_thread();
   {
     std::unique_lock<std::mutex> lock(conn->mutex_);
+    if (blocking && item.frame) {
+      // Another sender is finishing its frame on the socket: queue up behind
+      // it as behind a blocking write, then write through in turn.
+      conn->budget_.wait(lock,
+                         [&] { return conn->closed() || !conn->sender_writing_; });
+    }
     if (conn->closed() || conn->close_after_flush_) return false;
     if (item.frame && conn->queue_.empty() && !conn->in_flight_) {
       // Write-through: nothing of ours is queued or on the wire, so the
       // sender writes the frame itself — one syscall, no loop wake-up.
       // The lock keeps the loop from starting a frame meanwhile.
-      const WriteResult result = write_some(conn->fd(), *item.frame);
+      WriteResult result = write_some(conn->fd(), *item.frame);
+      if (result == WriteResult::kBlocked) {
+        if (metrics_ != nullptr) {
+          metrics_->net_partial_writes.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (blocking) {
+          // Kernel buffer full mid-frame: finish the frame here, waiting
+          // for POLLOUT with the mutex released so the loop never waits on
+          // us.  in_flight_ keeps everyone else's frames behind this one.
+          conn->in_flight_ = true;
+          conn->sender_writing_ = true;
+          lock.unlock();
+          result = write_blocking(*conn, *item.frame);
+          lock.lock();
+          conn->in_flight_ = false;
+          conn->sender_writing_ = false;
+          const bool loop_work = !conn->queue_.empty() || conn->close_after_flush_;
+          conn->budget_.notify_all();
+          if (std::exchange(conn->close_deferred_, false)) conn->fd_.reset();
+          const bool closed = conn->closed();
+          lock.unlock();
+          if (result == WriteResult::kDone) {
+            count_frame_out(item.frame->frame_size);
+            // Frames queued behind ours (control, loop-thread sends) or a
+            // pending close are the loop's to finish.
+            if (loop_work) wake();
+            return true;
+          }
+          if (!closed) close_connection(conn);
+          return false;
+        }
+      }
       if (result == WriteResult::kDone) {
         lock.unlock();
         count_frame_out(item.frame->frame_size);
@@ -472,9 +594,6 @@ bool EventLoop::enqueue(const ConnRef& conn, NetConn::SendItem item, bool may_bl
       // Kernel buffer full mid-frame (or the peer is gone): the loop
       // finishes the frame from its cursor under EPOLLOUT (or buries the
       // connection on its own write attempt).
-      if (result == WriteResult::kBlocked && metrics_ != nullptr) {
-        metrics_->net_partial_writes.fetch_add(1, std::memory_order_relaxed);
-      }
     } else if (may_block && conn->queued_bytes_ > 0 &&
                conn->queued_bytes_ + item.charge > kSendBudget) {
       // An empty queue always admits one item: a single frame can legally be
@@ -516,7 +635,7 @@ bool EventLoop::build_outgoing(const ConnRef& conn) {
   NetConn::SendItem item;
   {
     std::lock_guard<std::mutex> lock(conn->mutex_);
-    if (conn->queue_.empty()) return false;
+    if (conn->queue_.empty() || conn->sender_writing_) return false;
     item = std::move(conn->queue_.front());
     conn->queue_.pop_front();
     conn->in_flight_ = true;
@@ -583,7 +702,8 @@ void EventLoop::handle_writable(const ConnRef& conn) {
   bool close_now = false;
   {
     std::lock_guard<std::mutex> lock(conn->mutex_);
-    close_now = conn->close_after_flush_ && conn->queue_.empty();
+    close_now = conn->close_after_flush_ && conn->queue_.empty() &&
+                !conn->sender_writing_;
   }
   if (close_now && !conn->outgoing_) {
     // Half-close: the peer's reader sees EOF, and our read side stays open
@@ -624,7 +744,7 @@ void EventLoop::handle_readable(const ConnRef& conn) {
         connection_dead(conn, !conn->channel_);
         return;
       }
-      conn->payload_.resize(size);
+      conn->payload_ = frames_->take(size);
       conn->payload_have_ = 0;
       conn->reading_payload_ = true;
     } else {
@@ -713,11 +833,12 @@ bool EventLoop::deliver_frame(const ConnRef& conn, Bytes frame) {
     }
     PacketPtr packet;
     if (zero_copy()) {
-      auto buffer = std::make_shared<const Buffer>(std::move(frame));
+      const BufferPtr buffer = frames_->wrap(std::move(frame));
       packet = Packet::deserialize_view(BufferView(buffer, 0, buffer->size()));
     } else {
       BinaryReader reader(frame);
       packet = Packet::deserialize(reader);
+      frames_->give(std::move(frame));  // the packet owns copies
     }
     if (packet->stream_id() == kControlStream && packet->tag() == kTagCredit) {
       consume_credit(*conn, *packet);
@@ -797,16 +918,23 @@ void EventLoop::retry_parked() {
 
 void EventLoop::connection_dead(const ConnRef& conn, bool handshake_failure) {
   if (conn->closed_.exchange(true, std::memory_order_acq_rel)) return;
+  // Deregister first: once a sender owns the fd's close (below) it may
+  // close it, and the number may be reused, at any time.
+  ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, conn->fd(), nullptr);
+  conn->registered_ = false;
+  conns_.erase(conn->fd());
+  bool sender_closes = false;
   {
     std::lock_guard<std::mutex> lock(conn->mutex_);
     conn->queue_.clear();
     conn->queued_bytes_ = 0;
-    conn->in_flight_ = false;
     conn->budget_.notify_all();
+    // A sender still waiting to finish its frame uses the fd until it sees
+    // closed(); it closes the fd itself when it is done.
+    sender_closes = conn->sender_writing_;
+    conn->close_deferred_ = sender_closes;
+    if (!sender_closes) conn->in_flight_ = false;
   }
-  ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, conn->fd(), nullptr);
-  conn->registered_ = false;
-  conns_.erase(conn->fd());
   if (metrics_ != nullptr) {
     if (handshake_failure) {
       metrics_->net_handshakes_failed.fetch_add(1, std::memory_order_relaxed);
@@ -833,7 +961,7 @@ void EventLoop::connection_dead(const ConnRef& conn, bool handshake_failure) {
   }
   conn->parked_.reset();
   conn->outgoing_.reset();
-  conn->fd_.reset();
+  if (!sender_closes) conn->fd_.reset();
 }
 
 void EventLoop::update_interest(NetConn& conn) {

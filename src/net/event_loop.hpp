@@ -17,9 +17,11 @@
 //    payloads are written in place, wire-backed relays verbatim).  When the
 //    connection has nothing queued and no frame in flight, the sender
 //    writes the frame itself with one non-blocking sendmsg — no queue, no
-//    wake-up.  Otherwise, or when the kernel buffer fills mid-frame, the
-//    frame (with its cursor) joins a per-connection send queue that the
-//    loop drains under EPOLLOUT;
+//    wake-up.  If the kernel buffer fills mid-frame, a data sender off the
+//    loop thread waits for POLLOUT and finishes its own frame, as a
+//    blocking write would; control frames and loop-thread callers hand the
+//    rest (with its cursor) to a per-connection send queue that the loop
+//    drains under EPOLLOUT, as do frames that find the queue busy;
 //  * senders block only against a byte budget on that queue — the moral
 //    equivalent of a full kernel socket buffer — never against the loop;
 //  * credit grants (kTagCredit) are consumed on this thread against the
@@ -80,6 +82,7 @@ struct CreditSink {
 };
 
 class EventLoop;
+class FramePool;
 class NetConn;
 using ConnRef = std::shared_ptr<NetConn>;
 
@@ -184,9 +187,15 @@ class NetConn {
   std::deque<SendItem> queue_;
   std::size_t queued_bytes_ = 0;
   bool close_after_flush_ = false;
-  /// The loop has popped a frame it has not finished writing; senders must
-  /// not write through past it.
+  /// A frame is partly on the wire (popped by the loop, or being finished
+  /// by a sender); nobody else may start one.
   bool in_flight_ = false;
+  /// The in-flight frame belongs to a sender that waits for POLLOUT with
+  /// the mutex released; the loop neither starts a frame nor closes the fd
+  /// under it.
+  bool sender_writing_ = false;
+  /// connection_dead ran while sender_writing_: the sender closes the fd.
+  bool close_deferred_ = false;
 
   // Write state (loop thread only).
   std::unique_ptr<Outgoing> outgoing_;
@@ -318,6 +327,7 @@ class EventLoop {
   Fd epoll_;
   Fd wake_fd_;
   MetricsRegistry* metrics_;
+  std::shared_ptr<FramePool> frames_;
   std::thread thread_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};

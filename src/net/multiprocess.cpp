@@ -394,8 +394,11 @@ void fe_teardown(FrontEndState* st, bool force) {
   } else {
     // Orderly path: the shutdown handshake already told every node to exit;
     // give stragglers a grace period, then escalate.
+    // The poll interval starts short: a node exits within a millisecond
+    // of its acknowledgement, and shutdown latency is this wait.
     const std::int64_t deadline = now_ns() + 5'000'000'000LL;
     for (const pid_t pid : st->pids) {
+      auto pause = std::chrono::microseconds(50);
       for (;;) {
         int status = 0;
         const pid_t reaped = ::waitpid(pid, &status, WNOHANG);
@@ -405,7 +408,8 @@ void fe_teardown(FrontEndState* st, bool force) {
           ::waitpid(pid, &status, 0);
           break;
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        std::this_thread::sleep_for(pause);
+        pause = std::min(pause * 2, std::chrono::microseconds(5'000));
       }
     }
   }

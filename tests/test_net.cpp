@@ -14,7 +14,10 @@
 //     credit gates re-baselined so flow-controlled traffic keeps moving,
 //     triggered by kill_node or by a shipped FaultPlan,
 //   * hostile handshakes: malformed, oversized, truncated and silent
-//     pre-handshake peers must be shed without wedging the event loop.
+//     pre-handshake peers must be shed without wedging the event loop,
+//   * senders that fill a socket: they finish their own frames without
+//     tearing them or reordering a sender's frames, and a connection closed
+//     under a waiting sender releases it.
 //
 // NOTE: fork-based tests must not create threads before the network, so
 // every test builds its network first thing.
@@ -35,6 +38,7 @@
 
 #include "common/timer.hpp"
 #include "core/network.hpp"
+#include "core/protocol.hpp"
 #include "filters/register.hpp"
 #include "net/event_loop.hpp"
 #include "net/remote.hpp"
@@ -450,6 +454,114 @@ TEST(RemoteNetwork, PeerHangupOnPausedChannelDoesNotSpinTheLoop) {
   ASSERT_TRUE(eof.has_value());
   EXPECT_EQ(eof->packet, nullptr);
   EXPECT_EQ(eof->child_slot, 3u);
+  loop.stop();
+}
+
+// ---- senders that fill the socket -------------------------------------------
+
+TEST(EventLoopSend, SendersThatFillTheSocketFinishTheirFramesIntact) {
+  // 64 KiB frames from two data senders overrun the socketpair's buffer, so
+  // senders keep finishing their own frames (waiting for POLLOUT with the
+  // connection unlocked) while exempt control frames, which never wait,
+  // queue behind them for the loop to write.  The slow reader must see
+  // every frame whole and each sender's frames in order.
+  MetricsRegistry metrics;
+  net::EventLoop loop{&metrics};
+  auto [ours, theirs] = make_socketpair();
+  net::ChannelOptions options;
+  options.inbox = std::make_shared<Inbox>(16);
+  auto link = loop.add_channel(std::move(ours), std::move(options));
+  loop.start();
+
+  constexpr int kFrames = 40;
+  constexpr std::size_t kPayload = std::size_t{64} << 10;
+  std::vector<std::thread> senders;
+  for (std::int64_t sender = 0; sender < 2; ++sender) {
+    senders.emplace_back([&link, sender] {
+      for (std::int64_t seq = 0; seq < kFrames; ++seq) {
+        EXPECT_TRUE(link->send(Packet::make(
+            1, kTag, 0, "i64 i64 bytes",
+            {sender, seq, Bytes(kPayload, std::byte{0x5a})})));
+      }
+    });
+  }
+  senders.emplace_back([&link] {
+    for (int i = 0; i < kFrames; ++i) {
+      EXPECT_TRUE(link->send(make_credit_packet(1)));
+      std::this_thread::sleep_for(1ms);
+    }
+  });
+
+  std::vector<std::int64_t> next(2, 0);
+  int data = 0;
+  int credits = 0;
+  try {
+    while (data + credits < 3 * kFrames) {
+      std::this_thread::sleep_for(200us);  // a slow consumer keeps it full
+      const auto frame = read_frame(theirs.get());
+      if (!frame) {
+        ADD_FAILURE() << "EOF after " << data + credits << " frames";
+        break;
+      }
+      BinaryReader reader(*frame);
+      const PacketPtr packet = Packet::deserialize(reader);
+      if (packet->tag() == kTagCredit) {
+        ++credits;
+        continue;
+      }
+      const std::int64_t sender = packet->get_i64(0);
+      if (sender != 0 && sender != 1) {
+        ADD_FAILURE() << "frame from unknown sender " << sender;
+        break;
+      }
+      EXPECT_EQ(packet->get_i64(1), next[sender]++);
+      EXPECT_EQ(packet->get_bytes(2).size(), kPayload);
+      ++data;
+    }
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << "torn frame: " << error.what();
+  }
+  theirs.reset();  // releases senders still waiting after a failed read
+  for (std::thread& sender : senders) sender.join();
+  EXPECT_EQ(next, (std::vector<std::int64_t>{kFrames, kFrames}));
+  EXPECT_EQ(credits, kFrames);
+  EXPECT_GT(metrics.net_partial_writes.load(), 0u);
+  loop.stop();
+}
+
+TEST(EventLoopSend, ClosingUnderABlockedSenderReleasesIt) {
+  // The peer never reads, so a 1 MiB frame leaves its sender waiting for
+  // POLLOUT.  Closing the connection must release that sender with a
+  // failed send, and the socket must still close (the sender, not the loop,
+  // closes an fd it was writing when the connection died).
+  net::EventLoop loop;
+  auto [ours, theirs] = make_socketpair();
+  net::ChannelOptions options;
+  options.inbox = std::make_shared<Inbox>(16);
+  net::ConnRef conn;
+  auto link = loop.add_channel(std::move(ours), std::move(options), &conn);
+  loop.start();
+
+  std::atomic<bool> returned{false};
+  bool sent = true;
+  std::thread sender([&] {
+    sent = link->send(Packet::make(1, kTag, 0, "bytes",
+                                   {Bytes(std::size_t{1} << 20, std::byte{1})}));
+    returned = true;
+  });
+  std::this_thread::sleep_for(100ms);
+  EXPECT_FALSE(returned.load());  // still waiting on the full socket
+  loop.close_connection(conn);
+  sender.join();
+  EXPECT_FALSE(sent);
+  EXPECT_FALSE(link->send(make_credit_packet(1)));  // closed stays closed
+
+  // Drain what made it into the buffer; EOF proves the fd was closed.
+  std::vector<std::byte> sink(std::size_t{64} << 10);
+  ssize_t n = 0;
+  while ((n = ::read(theirs.get(), sink.data(), sink.size())) > 0) {
+  }
+  EXPECT_EQ(n, 0);
   loop.stop();
 }
 
